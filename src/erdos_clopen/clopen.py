@@ -29,6 +29,7 @@ from .exact import (
     format_rational,
     is_rational_power,
     largest_rational_at_most,
+    least_true,
     parse_rational,
 )
 from .space import Point, m_index
@@ -43,7 +44,6 @@ class PreconditionViolatedError(Exception):
 class CertificateKind:
     CLAIM1_MARGIN = "Claim1Margin"
     CLAIM2_R0 = "Claim2_r0"
-    CLAIM3_R1 = "Claim3_r1"  # reachable only for infinite-support points
     CLAIM3_R = "Claim3_r"
     CLAIM4_W = "Claim4_W"
 
@@ -151,17 +151,13 @@ class Schedule:
         p, q = norm_sq.numerator, norm_sq.denominator
         lhs = p * p * coef.denominator
         rhs_unit = coef.numerator * q * q  # condition: lhs < rhs_unit * n^4
-        n = 1
-        while lhs >= rhs_unit * n ** 4:
-            n *= 2
-        lo = n // 2 if n > 1 else 0
-        while n - lo > 1:
-            mid = (lo + n) // 2
-            if lhs >= rhs_unit * mid ** 4:
-                lo = mid
-            else:
-                n = mid
-        return n
+        return least_true(lambda n: lhs < rhs_unit * n ** 4)
+
+    def least_n_with_beta_below(self, bound: Fraction) -> int:
+        """Least n with beta_n < bound, for a positive rational bound
+        (equality cannot occur: beta_n is irrational)."""
+        bound_sq = bound * bound
+        return least_true(lambda n: self.beta_sq(n) < bound_sq)
 
     def to_json(self) -> dict:
         return {
@@ -309,8 +305,7 @@ def openness_radius(x: Point, pair: AlphaBetaPair,
     When m does not exist the point's norm is strictly below alpha (its
     square is rational, alpha^2 is not) and the ball margin alpha - |x| is
     enough. (The boundary branch |x| = alpha of the underlying argument is
-    unreachable for finite-support points, so no certificate of that kind
-    is ever emitted.) When m exists the radius is
+    unreachable for finite-support points.) When m exists the radius is
     min(prefix margin, beta/2, h, a) with l0 the least index whose tail
     sum of squares drops below (beta/2)^2, h the closest approach of the
     coordinates up to l0 to beta, and a the previous-prefix margin (the

@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from enum import Enum
 from math import isqrt
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 
 class Ordering(Enum):
@@ -353,18 +353,8 @@ class _Value:
             return -1 if self.rational < 0 else (1 if self.rational > 0 else 0)
         if self.rational == 0 and len(self.roots) == 1:
             return 1 if self.roots[0][0] > 0 else -1
-        # Nonzero by linear independence of the merged classes; separate.
-        bits = max(self._bits, self._START_BITS)
-        while True:
-            if self._bits < bits:
-                self._refine(bits)
-            if self._lo > 0:
-                return 1
-            if self._hi < 0:
-                return -1
-            bits *= 2
-            if bits > self._MAX_BITS:
-                raise RuntimeError("enclosure failed to separate a nonzero value")
+        # Nonzero by linear independence of the merged classes.
+        return self.compare_to(Fraction(0)).value
 
     def compare_to(self, other: Fraction) -> Ordering:
         """Exact ordering of this value against a rational."""
@@ -452,6 +442,26 @@ def expr_min(*exprs: ExprLike) -> RootExpr:
     return best
 
 
+def least_true(pred: Callable[[int], bool], known_false: int = 0) -> int:
+    """Least n > known_false with pred(n), for pred monotone (false, then
+    true for good) on the integers past known_false.
+
+    Doubles from max(1, 2*known_false) until pred holds, then bisects the
+    last doubling step, so it makes O(log n) calls. pred(known_false) is
+    taken as false and never called.
+    """
+    lo, hi = known_false, max(1, 2 * known_false)
+    while not pred(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def _floor_value(value: _Value) -> int:
     """Largest integer <= the value; the value must be nonnegative."""
     exact = value.is_rational()
@@ -461,18 +471,8 @@ def _floor_value(value: _Value) -> int:
         return exact.numerator // exact.denominator
     if value.compare_to(Fraction(0)) == Ordering.LESS:
         raise ValueError("_floor_value expects a nonnegative value")
-    hi = 1
-    while value.compare_to(Fraction(hi)) == Ordering.GREATER:
-        hi *= 2
-    lo = 0
-    # irrational here, so value is strictly between lo and hi throughout
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if value.compare_to(Fraction(mid)) == Ordering.GREATER:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    # irrational here, so the value never equals an integer
+    return least_true(lambda n: value.compare_to(Fraction(n)) == Ordering.LESS) - 1
 
 
 def rational_in_interval(lo: ExprLike, hi: ExprLike) -> Fraction:
@@ -505,46 +505,17 @@ def _positive_mediant_search(lo: _Value, hi: _Value) -> Fraction:
         p, q = a + c, b + d
         med = Fraction(p, q)
         side = lo.compare_to(med)
+        # each walk takes the largest step j; step 1 is the mediant just compared
         if side != Ordering.LESS:  # med <= lo: walk right
-            j = _gallop(lambda k: lo.compare_to(Fraction(a + k * c, b + k * d))
-                        != Ordering.LESS)
+            j = least_true(lambda k: lo.compare_to(Fraction(a + k * c, b + k * d))
+                           == Ordering.LESS, 1) - 1
             a, b = a + j * c, b + j * d
         elif hi.compare_to(med) != Ordering.GREATER:  # med >= hi: walk left
-            j = _gallop(lambda k: hi.compare_to(Fraction(c + k * a, d + k * b))
-                        != Ordering.GREATER)
+            j = least_true(lambda k: hi.compare_to(Fraction(c + k * a, d + k * b))
+                           == Ordering.GREATER, 1) - 1
             c, d = c + j * a, d + j * b
         else:
             return med
-
-
-def _gallop(pred) -> int:
-    """Largest j >= 1 with pred(j) true; pred is monotone and pred(1) holds."""
-    j = 1
-    while pred(2 * j):
-        j *= 2
-    lo, hi = j, 2 * j  # pred(lo) true, pred(hi) false
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if pred(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-def _bounded_gallop(pred, cap: int) -> int:
-    """Largest j in [1, cap] with pred(j) true; pred(1) holds, cap >= 1."""
-    j = 1
-    while j * 2 <= cap and pred(j * 2):
-        j *= 2
-    lo, hi = j, min(j * 2, cap + 1)  # pred(lo) true; pred(hi) false or hi > cap
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if pred(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 def largest_rational_at_most(value: ExprLike, den_cap: int) -> Fraction:
@@ -574,16 +545,17 @@ def largest_rational_at_most(value: ExprLike, den_cap: int) -> Fraction:
         if side == Ordering.GREATER:
             # mediant < value: improve the lower fence, but never past the cap
             # (bounding the probe also keeps it finite when the upper fence
-            # has already collapsed onto a rational value)
+            # has already collapsed onto a rational value); as in the
+            # mediant search, step 1 is the mediant just compared
             j_cap = (den_cap - b) // d
-            j = _bounded_gallop(lambda k: val.compare_to(Fraction(a + k * c, b + k * d))
-                                == Ordering.GREATER, j_cap)
+            j = least_true(lambda k: k > j_cap or val.compare_to(
+                Fraction(a + k * c, b + k * d)) != Ordering.GREATER, 1) - 1
             a, b = a + j * c, b + j * d
         elif side == Ordering.LESS:
             # mediant > value: tighten the upper fence (its denominator is
             # allowed to exceed the cap; only the lower fence is the answer)
-            j = _gallop(lambda k: val.compare_to(Fraction(c + k * a, d + k * b))
-                        == Ordering.LESS)
+            j = least_true(lambda k: val.compare_to(Fraction(c + k * a, d + k * b))
+                           != Ordering.LESS, 1) - 1
             c, d = c + j * a, d + j * b
         else:
             # mediant == value: possible only for a rational value whose
@@ -592,5 +564,5 @@ def largest_rational_at_most(value: ExprLike, den_cap: int) -> Fraction:
     if a > 0:
         return Fraction(a, b)
     # value < 1/den_cap: smallest q with 1/q <= value keeps the bound positive
-    q = _gallop(lambda k: val.compare_to(Fraction(1, k)) == Ordering.LESS) + 1
-    return Fraction(1, q)
+    return Fraction(1, least_true(
+        lambda k: val.compare_to(Fraction(1, k)) != Ordering.LESS, 1))

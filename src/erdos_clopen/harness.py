@@ -32,7 +32,6 @@ from .witness import (
     construct_witness,
     generalized_witness,
     ray_source,
-    verify_witness,
 )
 
 
@@ -319,7 +318,8 @@ def _synthetic_source(rng: SplitMix64, config: SampleConfig):
 
 
 def _verify_c5(schedule: Schedule, config: SampleConfig) -> ClaimReport:
-    """Random (r*, source) candidates always yield fully checked witnesses."""
+    """Random (r*, source) candidates always yield fully checked witnesses;
+    the checks are the record's own, run once inside `construct_witness`."""
     report = ClaimReport("C5", config.count, config.count)
     for draw in range(config.count):
         rng = SplitMix64(derive_seed(config.seed, draw, 5))
@@ -332,9 +332,7 @@ def _verify_c5(schedule: Schedule, config: SampleConfig) -> ClaimReport:
                 draw, None, f"construction failed: {exc!r}",
                 r_star=format_rational(r_star)))
             continue
-        checks = verify_witness(record.x, record.y, record.z, record.m_star,
-                                record.l_star, record.q, r_star, schedule)
-        for check in checks:
+        for check in record.checks:
             if not check["holds"]:
                 report.violations.append(_violation(
                     draw, record.z, f"witness check failed: {check['check']}",
@@ -343,7 +341,8 @@ def _verify_c5(schedule: Schedule, config: SampleConfig) -> ClaimReport:
 
 
 def _verify_remark(schedule: Schedule, config: SampleConfig) -> ClaimReport:
-    """Unbounded K plus an arbitrarily small ball still escapes O."""
+    """Unbounded K plus an arbitrarily small ball still escapes O, read from
+    the witness's own checks."""
     report = ClaimReport("Remark", config.count, config.count)
     for draw in range(config.count):
         rng = SplitMix64(derive_seed(config.seed, draw, 6))
@@ -356,11 +355,12 @@ def _verify_remark(schedule: Schedule, config: SampleConfig) -> ClaimReport:
                 draw, None, f"construction failed: {exc!r}",
                 eps=format_rational(eps)))
             continue
-        if in_O(record.z, schedule):
+        holds = {check["check"]: check["holds"] for check in record.checks}
+        if not holds["z_outside_O"]:
             report.violations.append(_violation(
                 draw, record.z, "generalized witness landed inside O",
                 witness=record.to_json()))
-        if record.y.norm_sq() >= eps * eps:
+        if not holds["y_in_ball"]:
             report.violations.append(_violation(
                 draw, record.y, "perturbation not inside the eps ball",
                 witness=record.to_json()))

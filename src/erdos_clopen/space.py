@@ -29,7 +29,7 @@ class Point:
     entries are kept sorted by index.
     """
 
-    __slots__ = ("entries", "_den", "_nums", "_prefix_sq", "_den_sq", "_norm_sq")
+    __slots__ = ("entries", "_nums", "_prefix_sq", "_den_sq", "_norm_sq")
 
     def __init__(self, entries: EntryLike = ()):
         if isinstance(entries, Mapping):
@@ -59,7 +59,6 @@ class Point:
         for n in nums:
             total += n * n
             prefix.append(total)
-        object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_nums", nums)
         object.__setattr__(self, "_prefix_sq", tuple(prefix))
         object.__setattr__(self, "_den_sq", den * den)

@@ -23,10 +23,11 @@ from .exact import (
     RootValue,
     cmp_rational_vs_root,
     format_rational,
+    least_true,
     rational_in_interval,
 )
 from .space import Point, add, m_index, scale, unit
-from .clopen import Schedule, first_failing_n, in_A, in_O
+from .clopen import Schedule, first_failing_n, in_A
 
 
 class SourceFailureError(Exception):
@@ -34,15 +35,17 @@ class SourceFailureError(Exception):
 
 
 class ScheduleExhaustedError(Exception):
-    """No schedule index satisfied a side condition (defensive; valid
-    schedules always have one)."""
+    """The ball radius is so small that m* lies past _SCHEDULE_SEARCH_CAP."""
 
 
 class InvalidEpsilonError(Exception):
     """The generalized construction needs a positive ball radius."""
 
 
-_SCHEDULE_SEARCH_CAP = 10 ** 9
+#: Largest m* a witness may use. Checking z scans up to m* threshold pairs,
+#: so radii that need more are rejected up front; 2^29 is the boundary the
+#: library has always rejected at.
+_SCHEDULE_SEARCH_CAP = 2 ** 29
 
 #: Maps a norm threshold to a point whose norm exceeds it (exactly checked).
 PointSource = Callable[[RootValue], Point]
@@ -87,19 +90,7 @@ def ray_source(direction: Optional[Point] = None) -> PointSource:
         raise ValueError("ray direction must be nonzero")
 
     def source(threshold: RootValue) -> Point:
-        def exceeds(c: int) -> bool:
-            return _norm_exceeds(scale(Fraction(c), direction), threshold)
-
-        c = 1
-        while not exceeds(c):
-            c *= 2
-        lo = c // 2 if c > 1 else 0
-        while c - lo > 1:
-            mid = (lo + c) // 2
-            if exceeds(mid):
-                c = mid
-            else:
-                lo = mid
+        c = least_true(lambda k: _norm_exceeds(scale(Fraction(k), direction), threshold))
         return scale(Fraction(c), direction)
 
     return source
@@ -155,50 +146,18 @@ def _least_n_star(r_star: Fraction) -> int:
     return (1 / r_star).numerator // (1 / r_star).denominator + 1
 
 
-def _least_m_beta_below(schedule: Schedule, bound: Fraction) -> int:
-    """Least m with beta_m < bound (beta decreases to 0)."""
-    if bound <= 0:
-        raise ScheduleExhaustedError("beta_m must undercut a positive bound")
-    m = 1
-    while schedule.beta_sq(m) >= bound * bound:
-        m *= 2
-        if m > _SCHEDULE_SEARCH_CAP:
-            raise ScheduleExhaustedError("no schedule index with beta small enough")
-    lo = m // 2 if m > 1 else 0
-    while m - lo > 1:
-        mid = (lo + m) // 2
-        if schedule.beta_sq(mid) >= bound * bound:
-            lo = mid
-        else:
-            m = mid
-    return m
-
-
-def _least_m_alpha_above(schedule: Schedule, bound: int) -> int:
-    """Least m with alpha_m > bound (alpha increases without bound)."""
-    target = Fraction(bound) ** 4
-    m = 1
-    while schedule.alpha_sq_sq(m) <= target:
-        m *= 2
-        if m > _SCHEDULE_SEARCH_CAP:
-            raise ScheduleExhaustedError("no schedule index with alpha large enough")
-    lo = m // 2 if m > 1 else 0
-    while m - lo > 1:
-        mid = (lo + m) // 2
-        if schedule.alpha_sq_sq(mid) <= target:
-            lo = mid
-        else:
-            m = mid
-    return m
-
-
 def construct_witness(v: VSpec, schedule: Schedule) -> WitnessRecord:
-    """Build and fully re-check one counterexample for the candidate V."""
+    """Build one counterexample for the candidate V and run every check of
+    `verify_witness` on it once; raises AssertionError if any check fails."""
     r_star = v.ball_radius
     n_star = _least_n_star(r_star)
-    m1 = _least_m_beta_below(schedule, Fraction(1, n_star))
-    m2 = _least_m_alpha_above(schedule, n_star)
-    m_star = max(m1, m2)
+    # beta_m < 1/n* and alpha_m > n* (alpha_m > n* iff alpha_m^2 > n*^2)
+    m_star = max(schedule.least_n_with_beta_below(Fraction(1, n_star)),
+                 schedule.least_n_with_alpha_above(Fraction(n_star ** 2)))
+    if m_star > _SCHEDULE_SEARCH_CAP:
+        raise ScheduleExhaustedError(
+            f"ball radius {format_rational(r_star)} needs m* = {m_star}, "
+            f"past the supported {_SCHEDULE_SEARCH_CAP}")
 
     alpha_star = schedule.alpha_at(m_star)
     x = v.source(alpha_star)
@@ -238,17 +197,19 @@ def construct_witness(v: VSpec, schedule: Schedule) -> WitnessRecord:
 def verify_witness(x: Point, y: Point, z: Point, m_star: int, l_star: int,
                    q: Fraction, r_star: Fraction,
                    schedule: Schedule) -> list[dict]:
-    """Independently re-check every inequality a witness record asserts.
+    """Check every inequality a witness record asserts, each once.
 
-    Each entry names the inequality and carries the exact quantities
-    compared, so a failure is reproducible in isolation.
+    `construct_witness` runs this on every witness it builds; the result is
+    the record's `checks`. Each entry names the inequality and carries the
+    exact quantities compared, so a failure is reproducible in isolation.
     """
     alpha_star = schedule.alpha_at(m_star)
     beta_sq_star = schedule.beta_sq(m_star)
     m_x = m_index(x, alpha_star)
     m_z = m_index(z, alpha_star)
     z_l = z.coordinate(l_star)
-    failing = first_failing_n(z, schedule)
+    z_in_A_star = in_A(z, schedule.pair_at(m_star))
+    failing = first_failing_n(z, schedule)  # None exactly when z is in O
 
     checks = [
         {
@@ -281,18 +242,17 @@ def verify_witness(x: Point, y: Point, z: Point, m_star: int, l_star: int,
         },
         {
             "check": "z_outside_A_at_m_star",
-            "lhs": {"in_A": in_A(z, schedule.pair_at(m_star))},
+            "lhs": {"in_A": z_in_A_star},
             "rhs": {"expected": False},
             "relation": "==",
-            "holds": not in_A(z, schedule.pair_at(m_star)),
+            "holds": not z_in_A_star,
         },
         {
             "check": "z_outside_O",
             "lhs": {"first_failing_n": failing},
             "rhs": {"failing_n_at_most": m_star},
             "relation": "exists a failing index <= m*",
-            "holds": failing is not None and failing <= m_star
-            and not in_O(z, schedule),
+            "holds": failing is not None and failing <= m_star,
         },
     ]
     return checks
@@ -343,18 +303,14 @@ _CONCLUSION = (
 
 
 def refute_group_compatibility(v: VSpec, schedule: Schedule) -> RefutationVerdict:
-    """Produce the full verdict for one candidate V, all memberships
-    re-verified."""
+    """Produce the full verdict for one candidate V; its rechecks are the
+    witness's checks, which `construct_witness` ran once."""
     record = construct_witness(v, schedule)
-    rechecks = verify_witness(
-        record.x, record.y, record.z, record.m_star, record.l_star,
-        record.q, v.ball_radius, schedule,
-    )
-    holds = all(check["holds"] for check in rechecks)
+    holds = all(check["holds"] for check in record.checks)
     return RefutationVerdict(
         premise=_PREMISE,
         witness=record,
-        rechecks=tuple(rechecks),
+        rechecks=record.checks,
         conclusion=_CONCLUSION,
         holds=holds,
     )

@@ -154,6 +154,11 @@ class TestWitnessAndRefute:
         assert code == EXIT_INVALID
         assert "norm above the threshold" in err
 
+    def test_tiny_ball_radius_exits_2(self, capsys):
+        code, _, err = run_cli(capsys, "witness", "--ball-radius", "1/1000000000")
+        assert code == EXIT_INVALID
+        assert "m* = " in err
+
     def test_refute_verdict(self, capsys, tmp_path):
         out_path = tmp_path / "v.json"
         code, out, _ = run_cli(capsys, "refute", "--ball-radius", "1",

@@ -78,6 +78,21 @@ class TestSchedule:
         assert s.least_n_with_alpha_above(F(5)) == 2   # 5 < 4*sqrt(2) ~ 5.657
         assert s.least_n_with_alpha_above(F(6)) == 3   # 6 > 4*sqrt(2)
 
+    @pytest.mark.parametrize("schedule", [
+        DEFAULT_SCHEDULE, Schedule(F(1, 3), F(2)), Schedule(F(5), F(1, 7))])
+    def test_least_n_searches_match_linear_scans(self, schedule):
+        for k in range(1, 400):
+            bound = F(k % 37 + 1, k)
+            n = 1
+            while not schedule.beta_sq(n) < bound * bound:
+                n += 1
+            assert schedule.least_n_with_beta_below(bound) == n
+            norm_sq = F(k * k, k % 7 + 1)
+            n = 1
+            while not norm_sq * norm_sq < schedule.alpha_sq_sq(n):
+                n += 1
+            assert schedule.least_n_with_alpha_above(norm_sq) == n
+
     @given(st.fractions(min_value=0, max_value=500, max_denominator=16))
     @settings(max_examples=200)
     def test_least_n_is_least(self, norm):

@@ -1,5 +1,6 @@
 """Exact-arithmetic layer: orderings, root values, interval selection."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -16,6 +17,7 @@ from erdos_clopen.exact import (
     cmp_root_expr,
     format_rational,
     largest_rational_at_most,
+    least_true,
     parse_rational,
     rational_in_interval,
 )
@@ -288,6 +290,35 @@ class TestRationalInInterval:
         v = rational_in_interval(lo, hi)
         assert cmp_root_expr(rat(lo), rat(v)) == Ordering.LESS
         assert cmp_root_expr(rat(v), rat(hi)) == Ordering.LESS
+
+
+class TestLeastTrue:
+    @staticmethod
+    def guarded(t, known_false, calls):
+        """n >= t, failing the test when called at or below known_false."""
+        def pred(n):
+            assert n > known_false, f"probed {n} <= known_false {known_false}"
+            calls.append(n)
+            return n >= t
+        return pred
+
+    def test_matches_linear_scan_on_random_thresholds(self):
+        rng = random.Random(2111)
+        for _ in range(30):
+            t = rng.randint(1, 10 ** 6)
+            known_false = rng.randrange(t)
+            calls = []
+            got = least_true(self.guarded(t, known_false, calls), known_false)
+            scan = known_false + 1
+            while not scan >= t:
+                scan += 1
+            assert got == scan
+            assert len(calls) <= 2 * t.bit_length() + 2
+
+    def test_never_probes_known_false(self):
+        for known_false in range(0, 40):
+            for t in range(known_false + 1, known_false + 70):
+                assert least_true(self.guarded(t, known_false, []), known_false) == t
 
 
 class TestLargestRationalAtMost:

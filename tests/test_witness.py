@@ -1,5 +1,6 @@
 """Witness construction, the generalized variant, and the verdict."""
 
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -8,6 +9,7 @@ from erdos_clopen.space import Point, unit
 from erdos_clopen.clopen import DEFAULT_SCHEDULE, Schedule, in_O
 from erdos_clopen.witness import (
     InvalidEpsilonError,
+    ScheduleExhaustedError,
     SourceFailureError,
     VSpec,
     WitnessCase,
@@ -112,6 +114,28 @@ class TestConstructWitness:
         assert not in_O(record.z, schedule)
 
 
+class TestScheduleCap:
+    """Radii whose m* lies past 2^29 are rejected before any scan."""
+
+    def test_tiny_radius_rejected_quickly(self):
+        started = time.perf_counter()
+        with pytest.raises(ScheduleExhaustedError):
+            construct_witness(VSpec(F(1, 10 ** 9), ray_source()), DEFAULT_SCHEDULE)
+        assert time.perf_counter() - started < 1.0
+
+    def test_boundary_at_two_to_the_29(self):
+        # r* = 1/N gives n* = N + 1, and on the default schedule
+        # m* = least m with beta_m < 1/n*
+        s = DEFAULT_SCHEDULE
+        bounded = file_source([unit(1)])
+        assert s.least_n_with_beta_below(F(1, 379625062)) == 2 ** 29
+        with pytest.raises(SourceFailureError):  # m* = 2^29 passes the cap
+            construct_witness(VSpec(F(1, 379625061), bounded), s)
+        assert s.least_n_with_beta_below(F(1, 379625063)) == 2 ** 29 + 1
+        with pytest.raises(ScheduleExhaustedError):
+            construct_witness(VSpec(F(1, 379625062), bounded), s)
+
+
 class TestIndexMinimality:
     """The construction picks the least admissible schedule indices."""
 
@@ -211,3 +235,13 @@ class TestVerifyWitnessChecks:
         checks = verify_witness(record.x, record.y, bad_z, record.m_star,
                                 record.l_star, record.q, F(1), DEFAULT_SCHEDULE)
         assert not all(c["holds"] for c in checks)
+
+    def test_z_inside_O_is_flagged(self):
+        record = construct_witness(VSpec(F(1), ray_source()), DEFAULT_SCHEDULE)
+        inside = record.x  # z with the bump removed
+        assert in_O(inside, DEFAULT_SCHEDULE)
+        checks = verify_witness(record.x, record.y, inside, record.m_star,
+                                record.l_star, record.q, F(1), DEFAULT_SCHEDULE)
+        holds = {c["check"]: c["holds"] for c in checks}
+        assert not holds["z_outside_O"]
+        assert not holds["z_outside_A_at_m_star"]
