@@ -5,7 +5,6 @@ from .exact import (
     EmptyIntervalError,
     InvalidRootError,
     Ordering,
-    Rational,
     RootExpr,
     RootValue,
     UnsupportedFormError,
@@ -16,7 +15,7 @@ from .exact import (
     parse_rational,
     rational_in_interval,
 )
-from .space import ZERO, Point, add, distance_sq, m_index, norm_sq, scale, unit
+from .space import ZERO, Point, add, m_index, norm_sq, scale, unit
 from .clopen import (
     DEFAULT_PAIR,
     DEFAULT_SCHEDULE,

@@ -178,8 +178,7 @@ def _cmd_radius(args) -> int:
 
 def _cmd_witness(args) -> int:
     schedule = _load_schedule(args.schedule)
-    v = VSpec(parse_rational(args.ball_radius), _source_from_arg(args.source),
-              label=args.source)
+    v = VSpec(parse_rational(args.ball_radius), _source_from_arg(args.source))
     record = construct_witness(v, schedule)
     _emit(record.to_json(), args.out)
     return EXIT_OK
@@ -187,8 +186,7 @@ def _cmd_witness(args) -> int:
 
 def _cmd_refute(args) -> int:
     schedule = _load_schedule(args.schedule)
-    v = VSpec(parse_rational(args.ball_radius), _source_from_arg(args.source),
-              label=args.source)
+    v = VSpec(parse_rational(args.ball_radius), _source_from_arg(args.source))
     verdict = refute_group_compatibility(v, schedule)
     _emit(verdict.to_json(), args.out)
     return EXIT_OK if verdict.holds else EXIT_VIOLATION

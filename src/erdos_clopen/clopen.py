@@ -168,6 +168,8 @@ class Schedule:
 
     @classmethod
     def from_json(cls, data: dict) -> "Schedule":
+        if not isinstance(data, dict):
+            raise ValueError('a schedule must be a JSON object {"alpha_scale": "p/q", ...}')
         degree = data.get("degree", 4)
         if degree != 4:
             raise ValueError(f"schedule degree must be 4, got {degree}")
@@ -242,12 +244,9 @@ def first_violating_index(x: Point, pair: AlphaBetaPair) -> Optional[int]:
     beta_sq = pair.beta_sq
     bn, bd = beta_sq.numerator, beta_sq.denominator
     target = bn * x._den_sq
-    nums = x._nums
-    for pos, (index, _) in enumerate(x.entries):
-        if index > m:
-            n = nums[pos]
-            if n * n * bd > target:
-                return index
+    for index, n in zip(x.support, x._nums):
+        if index > m and n * n * bd > target:
+            return index
     return None
 
 
@@ -324,10 +323,11 @@ def openness_radius(x: Point, pair: AlphaBetaPair,
         raise PreconditionViolatedError("point is outside A; no openness radius")
 
     beta_sq = pair.beta_sq
+    # the tail sum from l only changes just past a support index (and is 0
+    # past the last one), so l0 is 1 or one past some support index
     quarter_beta_sq = beta_sq / 4
-    l0 = 1
-    while x.tail_norm_sq(l0) >= quarter_beta_sq:
-        l0 += 1
+    l0 = next(index + 1 for index in (0,) + x.support
+              if x.tail_norm_sq(index + 1) < quarter_beta_sq)
 
     beta_half = RootExpr.of_root(Fraction(1, 2), pair.beta)
 

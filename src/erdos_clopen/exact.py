@@ -50,8 +50,6 @@ class EmptyIntervalError(ExactError):
     """Interval endpoints with lo >= hi."""
 
 
-Rational = Fraction
-
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
 
@@ -176,7 +174,7 @@ def cmp_rational_vs_root(s: Fraction, t: RootValue) -> Ordering:
 
 
 # ---------------------------------------------------------------------------
-# Root expressions: signed sums of terms, each Rational or Rational*RootValue.
+# Root expressions: signed sums of terms, each rational or rational*RootValue.
 # ---------------------------------------------------------------------------
 
 #: A term is (coefficient, root-or-None); None means the term is the plain

@@ -10,9 +10,10 @@ reports are deterministic functions of (schedule, config).
 from __future__ import annotations
 
 import time
+from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Optional
 
 from .exact import format_rational
@@ -116,18 +117,22 @@ class SampleConfig:
 
 def _sample_point_with(rng: SplitMix64, config: SampleConfig) -> Point:
     size = rng.below(min(config.max_support, config.max_index) + 1)
-    indices = []
-    pool = list(range(1, config.max_index + 1))
-    for _ in range(size):
-        pick = rng.below(len(pool))
-        indices.append(pool.pop(pick))
-    entries = []
-    for index in sorted(indices):
+    indices = []  # increasing
+    for remaining in range(config.max_index, config.max_index - size, -1):
+        # the pick-th smallest index in [1, max_index] not chosen yet
+        index = 1 + rng.below(remaining)
+        for chosen in indices:
+            if chosen > index:
+                break
+            index += 1
+        insort(indices, index)
+    nums, dens = [], []
+    for _ in indices:
         magnitude = 1 + rng.below(config.max_numerator)
-        sign = -1 if rng.below(2) else 1
-        den = 1 + rng.below(config.max_denominator)
-        entries.append((index, Fraction(sign * magnitude, den)))
-    return Point(entries)
+        nums.append(-magnitude if rng.below(2) else magnitude)
+        dens.append(1 + rng.below(config.max_denominator))
+    den = lcm(*dens)
+    return Point._from_ints(indices, [n * (den // d) for n, d in zip(nums, dens)], den)
 
 
 def sample_point(config: SampleConfig, draw: int) -> Point:
@@ -150,15 +155,16 @@ def _sample_rational_positive(rng: SplitMix64, config: SampleConfig) -> Fraction
 
 
 def _scaled_within(direction: Point, bound: Fraction) -> Point:
-    """Scale a direction so its norm is certified strictly below bound."""
+    """Scale a direction so its norm is certified strictly below bound.
+
+    With c = isqrt(floor(|d|^2)) + 1, the integer c^2 exceeds floor(|d|^2)
+    and hence |d|^2, so |d| * bound / (2c) < bound / 2.
+    """
     if direction.is_zero():
         return direction
     norm_sq = direction.norm_sq()
     root_ceil = isqrt(norm_sq.numerator // norm_sq.denominator) + 1
-    factor = bound / (2 * root_ceil)
-    while factor * factor * norm_sq >= bound * bound:  # exact fit check
-        factor /= 2
-    return scale(factor, direction)
+    return scale(bound / (2 * root_ceil), direction)
 
 
 def perturb_within(base: Point, bound: Fraction, rng: SplitMix64,
@@ -324,7 +330,7 @@ def _verify_c5(schedule: Schedule, config: SampleConfig) -> ClaimReport:
     for draw in range(config.count):
         rng = SplitMix64(derive_seed(config.seed, draw, 5))
         r_star = _sample_rational_positive(rng, config)
-        v = VSpec(r_star, _synthetic_source(rng, config), label=f"sampled-{draw}")
+        v = VSpec(r_star, _synthetic_source(rng, config))
         try:
             record = construct_witness(v, schedule)
         except Exception as exc:  # construction must never fail for valid candidates

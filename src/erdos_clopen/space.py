@@ -5,118 +5,119 @@ space and every membership predicate used here is exactly decidable on
 them; an infinite-support point would need a stream interface with no
 exact decision procedure. Indices are 1-based.
 
-Internally a point keeps its coordinates over a common denominator D with
-integer prefix sums of squared numerators, so the membership predicates
-(which run in tight sampling loops) compare plain integers instead of
-allocating Fractions.
+A point is stored once, in one canonical integer form: its support (the
+increasing tuple of indices with nonzero coordinates), one integer
+numerator per support index, and one common denominator D > 0 with
+gcd(D, numerators) = 1, so coordinate k is nums[k] / D. Equality and
+hashing compare that triple. Every constructor goes through
+`Point._canonicalise`, which drops zeros, divides out the gcd and builds
+the integer prefix sums of squared numerators that the membership
+predicates (which run in tight sampling loops) compare instead of
+allocating Fractions. `entries` derives the `(index, Fraction)` pairs on
+request.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from math import lcm
-from typing import Iterable, Mapping, Optional, Union
+from itertools import accumulate
+from math import gcd, lcm
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .exact import RootValue, format_rational, parse_rational
 
 EntryLike = Union[Mapping[int, Fraction], Iterable[tuple[int, Fraction]]]
 
+_set = object.__setattr__
+
 
 class Point:
-    """Immutable sparse sequence with nonzero rational coordinates.
+    """Immutable sparse sequence with nonzero rational coordinates."""
 
-    Zero coordinates are dropped at construction (canonical form) and
-    entries are kept sorted by index.
-    """
-
-    __slots__ = ("entries", "_nums", "_prefix_sq", "_den_sq", "_norm_sq")
+    __slots__ = ("support", "_nums", "_den", "_prefix_sq", "_den_sq", "_norm_sq")
 
     def __init__(self, entries: EntryLike = ()):
-        if isinstance(entries, Mapping):
-            items = entries.items()
-        else:
-            items = list(entries)
-        cleaned = []
-        seen = set()
+        items = entries.items() if isinstance(entries, Mapping) else entries
+        coords = {}
         for index, value in items:
             if not isinstance(index, int) or index < 1:
                 raise ValueError(f"indices must be positive integers, got {index!r}")
-            if index in seen:
+            if index in coords:
                 raise ValueError(f"duplicate index {index}")
-            seen.add(index)
-            value = Fraction(value)
-            if value != 0:
-                cleaned.append((index, value))
-        cleaned.sort()
-        self._finish(tuple(cleaned))
+            coords[index] = Fraction(value)
+        support = sorted(coords)
+        den = lcm(*(value.denominator for value in coords.values()))
+        self._canonicalise(support, [coords[i].numerator * (den // coords[i].denominator)
+                                     for i in support], den)
 
-    def _finish(self, entries: tuple[tuple[int, Fraction], ...]) -> None:
-        object.__setattr__(self, "entries", entries)
-        den = lcm(*(v.denominator for _, v in entries)) if entries else 1
-        nums = tuple(v.numerator * (den // v.denominator) for _, v in entries)
-        prefix = []
-        total = 0
-        for n in nums:
-            total += n * n
-            prefix.append(total)
-        object.__setattr__(self, "_nums", nums)
-        object.__setattr__(self, "_prefix_sq", tuple(prefix))
-        object.__setattr__(self, "_den_sq", den * den)
-        object.__setattr__(self, "_norm_sq", None)
+    def _canonicalise(self, support: Sequence[int], nums: Sequence[int],
+                      den: int) -> "Point":
+        """Store coordinates nums[k] / den at the increasing indices
+        support[k] in canonical form; the one path every point is built by."""
+        if not all(nums):
+            support = [i for i, n in zip(support, nums) if n]
+            nums = [n for n in nums if n]
+        g = gcd(den, *nums)
+        if g != 1:
+            den //= g
+            nums = [n // g for n in nums]
+        _set(self, "support", tuple(support))
+        _set(self, "_nums", tuple(nums))
+        _set(self, "_den", den)
+        _set(self, "_prefix_sq", tuple(accumulate(n * n for n in nums)))
+        _set(self, "_den_sq", den * den)
+        _set(self, "_norm_sq", None)
+        return self
 
     @classmethod
-    def _from_sorted(cls, entries: tuple[tuple[int, Fraction], ...]) -> "Point":
-        """Internal constructor for entries already canonical (sorted by
-        index, unique, nonzero Fractions)."""
-        point = cls.__new__(cls)
-        point._finish(entries)
-        return point
+    def _from_ints(cls, support: Sequence[int], nums: Sequence[int],
+                   den: int) -> "Point":
+        """Internal constructor for increasing positive indices, integer
+        numerators (zeros allowed) and a positive common denominator."""
+        return cls.__new__(cls)._canonicalise(support, nums, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Point is immutable")
 
     @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(index for index, _ in self.entries)
+    def entries(self) -> tuple[tuple[int, Fraction], ...]:
+        """The nonzero coordinates as (index, value) pairs, by index."""
+        den = self._den
+        return tuple((i, Fraction(n, den)) for i, n in zip(self.support, self._nums))
 
     def coordinate(self, index: int) -> Fraction:
-        for i, value in self.entries:
-            if i == index:
-                return value
-            if i > index:
-                break
+        pos = bisect_left(self.support, index)
+        if pos < len(self.support) and self.support[pos] == index:
+            return Fraction(self._nums[pos], self._den)
         return Fraction(0)
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self.support
 
     def norm_sq(self) -> Fraction:
         """Exact sum of squared coordinates."""
         cached = self._norm_sq
         if cached is None:
-            cached = (Fraction(self._prefix_sq[-1], self._den_sq)
-                      if self.entries else Fraction(0))
-            object.__setattr__(self, "_norm_sq", cached)
+            cached = Fraction(self._prefix_sq[-1] if self.support else 0, self._den_sq)
+            _set(self, "_norm_sq", cached)
         return cached
 
     def prefix_norm_sq(self, index: int) -> Fraction:
         """Exact sum of squared coordinates over positions <= index."""
-        total = 0
-        for pos, (i, _) in enumerate(self.entries):
-            if i > index:
-                break
-            total = self._prefix_sq[pos]
-        return Fraction(total, self._den_sq)
+        pos = bisect_right(self.support, index)
+        return Fraction(self._prefix_sq[pos - 1] if pos else 0, self._den_sq)
 
     def tail_norm_sq(self, index: int) -> Fraction:
         """Exact sum of squared coordinates over positions >= index."""
         return self.norm_sq() - self.prefix_norm_sq(index - 1)
 
     def __eq__(self, other):
-        return isinstance(other, Point) and self.entries == other.entries
+        return (isinstance(other, Point) and self.support == other.support
+                and self._nums == other._nums and self._den == other._den)
 
     def __hash__(self):
-        return hash(self.entries)
+        return hash((self.support, self._nums, self._den))
 
     def __repr__(self):
         inner = ", ".join(f"{i}: {v}" for i, v in self.entries)
@@ -139,12 +140,10 @@ class Point:
 
     @classmethod
     def from_json(cls, data: dict) -> "Point":
-        coords = data.get("coords", {})
-        entries = []
-        for key, text in coords.items():
-            index = int(key)
-            entries.append((index, parse_rational(text)))
-        return cls(entries)
+        coords = data.get("coords", {}) if isinstance(data, dict) else None
+        if not isinstance(coords, dict):
+            raise ValueError('a point must be a JSON object {"coords": {"index": "p/q", ...}}')
+        return cls((int(key), parse_rational(text)) for key, text in coords.items())
 
 
 ZERO = Point()
@@ -154,7 +153,7 @@ def unit(index: int) -> Point:
     """The standard unit vector at the given 1-based index."""
     if index < 1:
         raise ValueError(f"indices must be positive integers, got {index!r}")
-    return Point._from_sorted(((index, Fraction(1)),))
+    return Point._from_ints((index,), (1,), 1)
 
 
 def add(x: Point, y: Point) -> Point:
@@ -162,29 +161,26 @@ def add(x: Point, y: Point) -> Point:
         return x
     if x.is_zero():
         return y
-    entries = dict(x.entries)
-    for index, value in y.entries:
-        merged = entries.get(index, 0) + value
-        if merged:
-            entries[index] = merged
-        else:
-            entries.pop(index, None)
-    return Point._from_sorted(tuple(sorted(entries.items())))
+    den = lcm(x._den, y._den)
+    fx, fy = den // x._den, den // y._den
+    merged = dict(zip(x.support, [n * fx for n in x._nums]))
+    for index, n in zip(y.support, y._nums):
+        merged[index] = merged.get(index, 0) + n * fy
+    support = sorted(merged)
+    return Point._from_ints(support, [merged[i] for i in support], den)
 
 
 def scale(factor: Fraction, x: Point) -> Point:
     factor = Fraction(factor)
     if factor == 0:
         return ZERO
-    return Point._from_sorted(tuple((i, factor * v) for i, v in x.entries))
+    p = factor.numerator
+    return Point._from_ints(x.support, [n * p for n in x._nums],
+                            x._den * factor.denominator)
 
 
 def norm_sq(x: Point) -> Fraction:
     return x.norm_sq()
-
-
-def distance_sq(x: Point, y: Point) -> Fraction:
-    return (x - y).norm_sq()
 
 
 def m_index(x: Point, alpha: RootValue) -> Optional[int]:
@@ -199,12 +195,9 @@ def m_index(x: Point, alpha: RootValue) -> Optional[int]:
     if alpha.degree != 4:
         raise ValueError(f"m_index needs a degree-4 threshold, got degree {alpha.degree}")
     base = alpha.base
-    bn, bd = base.numerator, base.denominator
-    den4 = x._den_sq * x._den_sq
-    target = bn * den4
-    prefix = x._prefix_sq
-    for pos, (index, _) in enumerate(x.entries):
-        p = prefix[pos]
+    bd = base.denominator
+    target = base.numerator * x._den_sq * x._den_sq
+    for index, p in zip(x.support, x._prefix_sq):
         if p * p * bd > target:
             return index
     return None

@@ -64,7 +64,6 @@ class VSpec:
 
     ball_radius: Fraction
     source: PointSource
-    label: str = "custom"
 
     def __post_init__(self):
         object.__setattr__(self, "ball_radius", Fraction(self.ball_radius))
@@ -265,7 +264,7 @@ def generalized_witness(k_source: PointSource, eps: Fraction,
     eps = Fraction(eps)
     if eps <= 0:
         raise InvalidEpsilonError(f"eps must be positive, got {eps}")
-    return construct_witness(VSpec(eps, k_source, label="generalized"), schedule)
+    return construct_witness(VSpec(eps, k_source), schedule)
 
 
 @dataclass(frozen=True)

@@ -159,7 +159,7 @@ def test_criterion_2_witness_soundness():
         for j, direction in enumerate(directions):
             tag = f"r*={r_star}, direction #{j}"
             record = construct_witness(
-                VSpec(r_star, ray_source(direction), label=tag),
+                VSpec(r_star, ray_source(direction)),
                 DEFAULT_SCHEDULE)
             produced += 1
             engine_checks = verify_witness(

@@ -1,6 +1,8 @@
 """Command-line behavior: documents, exit codes, atomicity, determinism."""
 
+import hashlib
 import json
+import time
 
 import pytest
 
@@ -58,6 +60,14 @@ class TestCheck:
                                "--alpha-base", "2.5")
         assert code == EXIT_INVALID
         assert "invalid rational" in err
+
+    @pytest.mark.parametrize("document", [[1, 2], {"coords": [1]}])
+    def test_malformed_point_shape_exits_2(self, capsys, tmp_path, document):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(document))
+        code, _, err = run_cli(capsys, "check", "--point", str(bad), "--set", "A")
+        assert code == EXIT_INVALID
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_square_alpha_base_rejected(self, capsys, point_file):
         p = point_file("p.json", {"1": "1/1"})
@@ -123,6 +133,16 @@ class TestScheduleFiles:
                                "--schedule", str(schedule))
         assert code == EXIT_INVALID
         assert "degree" in err
+
+
+    def test_malformed_schedule_shape_exits_2(self, capsys, point_file, tmp_path):
+        schedule = tmp_path / "sched.json"
+        schedule.write_text(json.dumps([1, 2]))
+        p = point_file("p.json", {})
+        code, _, err = run_cli(capsys, "check", "--point", p, "--set", "O",
+                               "--schedule", str(schedule))
+        assert code == EXIT_INVALID
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestWitnessAndRefute:
@@ -201,6 +221,13 @@ class TestVerify:
         assert code == EXIT_INVALID
         assert "unknown claim" in err
 
+    def test_huge_max_index_is_fast(self, capsys):
+        started = time.perf_counter()
+        code, _, _ = run_cli(capsys, "verify", "--claims", "1", "--samples", "50",
+                             "--max-index", "1000000000000")
+        assert code == EXIT_OK
+        assert time.perf_counter() - started < 1.0
+
     def test_timings_flag_fills_elapsed(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--claims", "1", "--samples",
                                "5", "--seed", "1", "--timings")
@@ -230,3 +257,26 @@ class TestOutputDiscipline:
         code, _, err = run_cli(capsys, "check", "--point", "/nonexistent.json",
                                "--set", "A")
         assert code == EXIT_INVALID
+
+
+class TestPinnedOutputBytes:
+    """sha256 of documents recorded from the implementation that stored
+    points as Fraction entries; a change of representation must leave the
+    bytes alone."""
+
+    @pytest.fixture(autouse=True)
+    def compact(self, monkeypatch):
+        monkeypatch.delenv("ERDOS_REPORT_PRETTY", raising=False)
+
+    def test_verify_report(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--samples", "200", "--seed", "42")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "a1f364293fe3e88891dd2e0de56f2321fc58c499d631989d2010a50abbe8976a")
+
+    def test_witness_document(self, capsys):
+        code, out, _ = run_cli(capsys, "witness", "--ball-radius", "1/100",
+                               "--source", "ray")
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "f1e983defd9214a3241cb33a932b0cc12894f60aceaa29a36a745e5c70b26f4f")

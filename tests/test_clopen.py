@@ -1,5 +1,6 @@
 """Set memberships and neighborhood-radius certificates."""
 
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -10,6 +11,7 @@ from erdos_clopen.space import ZERO, Point
 from erdos_clopen.clopen import (
     DEFAULT_PAIR,
     DEFAULT_SCHEDULE,
+    AlphaBetaPair,
     CertificateKind,
     PreconditionViolatedError,
     Schedule,
@@ -219,6 +221,43 @@ class TestOpennessRadius:
     def test_requires_point_inside_A(self):
         with pytest.raises(PreconditionViolatedError):
             openness_radius(pt(2, 1), DEFAULT_PAIR)
+
+
+class TestOpennessL0:
+    """l0 comes from one pass over the support; the definition steps l
+    upward until the tail sum of squares from l drops below (beta/2)^2."""
+
+    PAIRS = (DEFAULT_PAIR,
+             AlphaBetaPair(RootValue(F(2), 4), RootValue(F(8), 2)),
+             AlphaBetaPair(RootValue(F(1, 3), 4), RootValue(F(3), 2)))
+
+    @staticmethod
+    def stepwise_l0(x: Point, pair: AlphaBetaPair) -> int:
+        quarter_beta_sq = pair.beta_sq / 4
+        l0 = 1
+        while x.tail_norm_sq(l0) >= quarter_beta_sq:
+            l0 += 1
+        return l0
+
+    @given(entry_strategy)
+    @settings(max_examples=300)
+    def test_matches_stepwise_definition(self, entries):
+        x = Point(entries)
+        for pair in self.PAIRS:
+            if in_E_alpha(x, pair.alpha) or not in_A(x, pair):
+                continue
+            cert = openness_radius(x, pair)
+            assert cert.components["l0"] == self.stepwise_l0(x, pair)
+
+    def test_far_index_is_fast(self):
+        near = Point({1: F(3), 5: F(1, 2)})
+        assert openness_radius(near, DEFAULT_PAIR).components["l0"] == 6
+        assert self.stepwise_l0(near, DEFAULT_PAIR) == 6
+        far = 10 ** 12
+        started = time.perf_counter()
+        cert = openness_radius(Point({1: F(3), far: F(1, 2)}), DEFAULT_PAIR)
+        assert time.perf_counter() - started < 1.0
+        assert cert.components["l0"] == far + 1
 
 
 class TestOOpennessRadius:

@@ -6,11 +6,13 @@ from fractions import Fraction as F
 import pytest
 
 from erdos_clopen.clopen import DEFAULT_PAIR, DEFAULT_SCHEDULE
+from erdos_clopen.space import Point
 from erdos_clopen.harness import (
     CLAIM_IDS,
     InvalidParamsError,
     SampleConfig,
     SplitMix64,
+    _sample_point_with,
     derive_seed,
     perturb_within,
     run_suite,
@@ -81,6 +83,33 @@ class TestSamplePoint:
         config = SampleConfig(seed=1, count=5)
         with pytest.raises(InvalidParamsError):
             sample_point(config, 5)
+
+
+def pool_sample(rng: SplitMix64, config: SampleConfig) -> Point:
+    """Reference sampler: pop each index from an explicit pool [1, max_index]."""
+    size = rng.below(min(config.max_support, config.max_index) + 1)
+    pool = list(range(1, config.max_index + 1))
+    indices = [pool.pop(rng.below(len(pool))) for _ in range(size)]
+    entries = []
+    for index in sorted(indices):
+        magnitude = 1 + rng.below(config.max_numerator)
+        sign = -1 if rng.below(2) else 1
+        den = 1 + rng.below(config.max_denominator)
+        entries.append((index, F(sign * magnitude, den)))
+    return Point(entries)
+
+
+class TestSamplerMatchesPool:
+    @pytest.mark.parametrize("support,index", [(6, 12), (12, 12), (5, 5), (9, 40),
+                                               (3, 1), (0, 7), (20, 25)])
+    def test_same_points_and_stream(self, support, index):
+        config = SampleConfig(max_support=support, max_index=index, max_numerator=9,
+                              max_denominator=12, seed=support * 100 + index)
+        for draw in range(300):
+            seed = derive_seed(config.seed, draw)
+            ours, theirs = SplitMix64(seed), SplitMix64(seed)
+            assert _sample_point_with(ours, config) == pool_sample(theirs, config)
+            assert ours.next_u64() == theirs.next_u64()  # same draws consumed
 
 
 class TestPerturbWithin:

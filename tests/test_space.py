@@ -1,6 +1,8 @@
 """Point representation, norms, arithmetic, and the first-exceedance index."""
 
+import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +12,6 @@ from erdos_clopen.space import (
     ZERO,
     Point,
     add,
-    distance_sq,
     m_index,
     norm_sq,
     scale,
@@ -90,7 +91,6 @@ class TestArithmetic:
         x = pt(1, 2)
         assert add(x, ZERO) == x
         assert scale(F(1, 2), unit(2)) == Point([(2, F(1, 2))])
-        assert distance_sq(Point([(1, F(4)), (2, F(1, 2))]), pt(4)) == F(1, 4)
 
     def test_cancellation_restores_canonical_form(self):
         x = pt(1, 2)
@@ -156,3 +156,69 @@ class TestMIndex:
         norm = point.norm_sq()
         exceeds = norm * norm > 2  # norm > alpha^2 = sqrt(2)
         assert (m_index(point, alpha) is not None) == exceeds
+
+
+class TestIntegerFormAgainstFractions:
+    """Seeded comparison of the stored integer form with plain
+    (index, Fraction) arithmetic on dicts."""
+
+    MAX_INDEX = 9
+
+    @staticmethod
+    def reference(coords: dict) -> tuple:
+        return tuple(sorted((i, v) for i, v in coords.items() if v != 0))
+
+    @staticmethod
+    def random_coords(rng) -> dict:
+        """Mixed denominators, with zero coordinates included on purpose."""
+        indices = rng.sample(range(1, TestIntegerFormAgainstFractions.MAX_INDEX + 1),
+                             rng.randint(0, 6))
+        return {i: F(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6, 9, 12, 35)))
+                for i in indices}
+
+    def check_form(self, p: Point, coords: dict) -> None:
+        expected = self.reference(coords)
+        assert p.entries == expected
+        assert p.support == tuple(i for i, _ in expected)
+        assert p._den > 0 and gcd(p._den, *p._nums) == 1
+        assert p.is_zero() == (not expected)
+        norm = sum((v * v for _, v in expected), F(0))
+        assert p.norm_sq() == norm
+        for index in range(0, self.MAX_INDEX + 3):
+            assert p.coordinate(index) == coords.get(index, 0)
+            prefix = sum((v * v for i, v in expected if i <= index), F(0))
+            assert p.prefix_norm_sq(index) == prefix
+            assert p.tail_norm_sq(index) == norm - sum(
+                (v * v for i, v in expected if i < index), F(0))
+
+    def test_matches_fraction_reference(self):
+        rng = random.Random(20211)
+        for _ in range(300):
+            a, b = self.random_coords(rng), self.random_coords(rng)
+            x, y = Point(a), Point(list(b.items())[::-1])
+            self.check_form(x, a)
+            self.check_form(y, b)
+
+            factor = F(rng.randint(-6, 6), rng.randint(1, 8))
+            total = {i: a.get(i, 0) + b.get(i, 0) for i in set(a) | set(b)}
+            self.check_form(add(x, y), total)
+            self.check_form(x + y, total)
+            self.check_form(scale(factor, x), {i: factor * v for i, v in a.items()})
+            self.check_form(-x, {i: -v for i, v in a.items()})
+            self.check_form(x - y, {i: a.get(i, 0) - b.get(i, 0) for i in set(a) | set(b)})
+
+            # unreduced integer input: every value over a common multiple
+            # of its denominator, times a spare factor shared by all
+            spare = rng.randint(1, 5)
+            den = spare * 2520
+            support = sorted(a)
+            raw = Point._from_ints(support, [a[i].numerator * (den // a[i].denominator)
+                                             for i in support], den)
+            self.check_form(raw, a)
+
+            same = (raw, Point(dict(a)), scale(1, x), add(x - y, y), add(ZERO, x),
+                    Point([(i, str(v)) for i, v in a.items()] + [(99, 0)]))
+            for other in same:
+                assert other == x and hash(other) == hash(x)
+            if self.reference(a) != self.reference(b):
+                assert x != y
