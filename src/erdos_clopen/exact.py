@@ -6,16 +6,24 @@ construction) reduces to ordering questions of the forms
     rational  vs  base^(1/degree)                     (degree 2 or 4)
     a1 +/- b1*root1  vs  a2 +/- b2*root2              (two-term expressions)
 
-Both are decided with integer arithmetic only: a positive rational s
-compares to base^(1/d) exactly as s^d compares to base, and multi-term
-differences are first tested for exact equality (by merging rationally
-dependent root terms; radicals in distinct classes are linearly
-independent over the rationals) and then separated by interval
-enclosures whose endpoints come from integer square roots. No floating
-point is involved anywhere.
+and to two choices of a rational: the largest one below a value with a
+capped denominator (certified radius bounds) and the simplest one inside
+an interval (the witness rational q).
 
-`Fraction` is the rational type throughout; it already maintains the
-canonical form (positive denominator, gcd 1).
+A positive rational s compares to base^(1/d) exactly as s^d compares to
+base. Any other value is brought to one canonical form (rationally
+dependent root terms merged; radicals in distinct classes are linearly
+independent over the rationals, so the zero test is exact) with one
+integer enclosure lo/den < value < hi/den, whose root bounds come from
+integer square roots and which `_Value.settle` refines by doubling its
+precision until a decision holds at both ends. The two choices are
+made by integer continued fractions on the ends of that enclosure: a
+Stern-Brocot walk whose steps are quotients of integers, and the
+simplest-rational recursion over partial quotients. No floating point is
+involved anywhere.
+
+`Fraction` is the rational type of the public API; it already maintains
+the canonical form (positive denominator, gcd 1).
 """
 
 from __future__ import annotations
@@ -24,8 +32,10 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from enum import Enum
-from math import isqrt
-from typing import Callable, Iterable, Optional, Union
+from math import isqrt, lcm
+from typing import Callable, Iterable, Optional, TypeVar, Union
+
+T = TypeVar("T")
 
 
 class Ordering(Enum):
@@ -273,18 +283,16 @@ class RootExpr:
 
 
 @lru_cache(maxsize=65536)
-def _root_enclosure(n: int, degree: int, bits: int) -> tuple[Fraction, Fraction]:
-    """Strict rational enclosure of n^(1/degree) with width 2^-bits.
+def _root_enclosure(n: int, degree: int, bits: int) -> int:
+    """The r with r/2^bits < n^(1/degree) < (r + 1)/2^bits.
 
     n is a positive integer that is not a perfect power of the degree, so
-    the floor below is never exact and both bounds are strict.
+    the floor r of n^(1/degree) * 2^bits is never exact and both bounds are
+    strict.
     """
-    scale = 1 << bits
     if degree == 2:
-        r = isqrt(n * scale * scale)
-    else:
-        r = isqrt(isqrt(n * scale ** 4))
-    return Fraction(r, scale), Fraction(r + 1, scale)
+        return isqrt(n << 2 * bits)
+    return isqrt(isqrt(n << 4 * bits))
 
 
 def _canonical_root_term(coef: Fraction, root: RootValue) -> tuple[Fraction, int, int]:
@@ -303,11 +311,12 @@ class _Value:
     After construction, `rational` holds the plain part and `roots` holds
     (coef, n, degree) triples over distinct irrationality classes: any two
     root terms whose ratio is rational have been merged, so the whole value
-    is zero only when every component is zero. Comparisons against
-    rationals are answered from a cached enclosure that refines on demand.
+    is zero only when every component is zero. Every decision about the
+    value is read off one cached integer enclosure, refined on demand by
+    `settle`.
     """
 
-    __slots__ = ("rational", "roots", "_bits", "_lo", "_hi")
+    __slots__ = ("rational", "roots", "_bits", "_enclosure")
 
     _START_BITS = 64
     _MAX_BITS = 1 << 22  # separation guard; unreachable for nonzero values
@@ -324,26 +333,43 @@ class _Value:
         self.rational = rational
         self.roots = _merge_dependent(roots)
         self._bits = 0
-        self._lo: Optional[Fraction] = None
-        self._hi: Optional[Fraction] = None
+        self._enclosure: Optional[tuple[int, int, int]] = None
 
-    def is_zero(self) -> bool:
-        return self.rational == 0 and not self.roots
+    def enclosure(self, bits: int) -> tuple[int, int, int]:
+        """Integers (lo, hi, den) with lo/den < value < hi/den, the width
+        (hi - lo)/den of order 2^-bits; lo == hi for a rational value. A
+        tighter enclosure already computed is reused."""
+        rational = self.rational
+        if not self.roots:
+            return rational.numerator, rational.numerator, rational.denominator
+        if self._bits < bits:
+            den = lcm(rational.denominator, *(coef.denominator for coef, _, _ in self.roots))
+            lo = hi = rational.numerator * (den // rational.denominator) << bits
+            for coef, n, degree in self.roots:
+                c = coef.numerator * (den // coef.denominator)
+                r = _root_enclosure(n, degree, bits)
+                lo += c * (r if c > 0 else r + 1)
+                hi += c * (r + 1 if c > 0 else r)
+            self._bits, self._enclosure = bits, (lo, hi, den << bits)
+        return self._enclosure
 
-    def is_rational(self) -> Optional[Fraction]:
-        return self.rational if not self.roots else None
+    @staticmethod
+    def settle(choose: Callable[..., Optional[T]], *values: "_Value") -> T:
+        """The first answer other than None of choose(lo_1, hi_1, den_1,
+        lo_2, ...), given one enclosure per value, doubling their precision
+        until there is one.
 
-    def _refine(self, bits: int) -> None:
-        lo = hi = self.rational
-        for coef, n, degree in self.roots:
-            rlo, rhi = _root_enclosure(n, degree, bits)
-            if coef > 0:
-                lo += coef * rlo
-                hi += coef * rhi
-            else:
-                lo += coef * rhi
-                hi += coef * rlo
-        self._bits, self._lo, self._hi = bits, lo, hi
+        choose must answer for every enclosure narrow enough, and for exact
+        rational values at once; raises RuntimeError past _MAX_BITS.
+        """
+        bits = max(_Value._START_BITS, *(value._bits for value in values))
+        while True:
+            answer = choose(*(end for value in values for end in value.enclosure(bits)))
+            if answer is not None:
+                return answer
+            bits *= 2
+            if bits > _Value._MAX_BITS:
+                raise RuntimeError("enclosure failed to settle a nonzero value")
 
     def sign(self) -> int:
         """Exact sign: -1, 0, or +1."""
@@ -351,29 +377,10 @@ class _Value:
             return -1 if self.rational < 0 else (1 if self.rational > 0 else 0)
         if self.rational == 0 and len(self.roots) == 1:
             return 1 if self.roots[0][0] > 0 else -1
-        # Nonzero by linear independence of the merged classes.
-        return self.compare_to(Fraction(0)).value
-
-    def compare_to(self, other: Fraction) -> Ordering:
-        """Exact ordering of this value against a rational."""
-        if not self.roots:
-            diff = self.rational - other
-            if diff < 0:
-                return Ordering.LESS
-            return Ordering.GREATER if diff > 0 else Ordering.EQUAL
-        # value - other is nonzero: subtracting a rational cannot cancel the
-        # independent root part.
-        bits = max(self._bits, self._START_BITS)
-        while True:
-            if self._bits < bits:
-                self._refine(bits)
-            if self._hi < other:
-                return Ordering.LESS
-            if self._lo > other:
-                return Ordering.GREATER
-            bits *= 2
-            if bits > self._MAX_BITS:
-                raise RuntimeError("enclosure failed to separate a nonzero value")
+        # nonzero by linear independence of the merged classes, so some
+        # enclosure excludes 0
+        return _Value.settle(lambda lo, hi, den: 1 if lo > 0 else (-1 if hi < 0 else None),
+                             self)
 
 
 def _merge_dependent(
@@ -460,107 +467,109 @@ def least_true(pred: Callable[[int], bool], known_false: int = 0) -> int:
     return hi
 
 
-def _floor_value(value: _Value) -> int:
-    """Largest integer <= the value; the value must be nonnegative."""
-    exact = value.is_rational()
-    if exact is not None:
-        if exact < 0:
-            raise ValueError("_floor_value expects a nonnegative value")
-        return exact.numerator // exact.denominator
-    if value.compare_to(Fraction(0)) == Ordering.LESS:
-        raise ValueError("_floor_value expects a nonnegative value")
-    # irrational here, so the value never equals an integer
-    return least_true(lambda n: value.compare_to(Fraction(n)) == Ordering.LESS) - 1
+def _simplest_between(xp: int, xq: int, yp: int, yq: int) -> Optional[Fraction]:
+    """The simplest rational strictly between x = xp/xq and y = yp/yq
+    (xq, yq > 0), or None when x >= y.
+
+    0 when the interval straddles 0; otherwise the least denominator, ties
+    broken by the least numerator magnitude, which for 0 <= x is the first
+    Stern-Brocot node inside. With n = floor(x), the continued-fraction
+    recursion takes the integer n + 1 when it lies below y, and otherwise
+    answers n + 1/t for t the simplest rational in (1/(y - n), 1/(x - n));
+    h/k accumulates the convergents of the partial quotients taken so far.
+    """
+    if xp * yq >= yp * xq:
+        return None
+    if xp < 0 < yp:
+        return Fraction(0)
+    if yp <= 0:
+        return -_simplest_between(-yp, yq, -xp, xq)
+    h0, h1, k0, k1 = 0, 1, 1, 0
+    while True:
+        n = xp // xq
+        if (n + 1) * yq < yp:  # yq == 0 stands for y = infinity
+            return Fraction(h1 * (n + 1) + h0, k1 * (n + 1) + k0)
+        h0, h1 = h1, n * h1 + h0
+        k0, k1 = k1, n * k1 + k0
+        xp, xq, yp, yq = yq, yp - n * yq, xq, xp - n * xq
 
 
 def rational_in_interval(lo: ExprLike, hi: ExprLike) -> Fraction:
     """Deterministic rational strictly inside (lo, hi).
 
-    Returns the smallest-denominator rational in the open interval, ties
-    broken by smallest numerator magnitude, found by mediant descent on the
-    Stern-Brocot tree (with run-length galloping, so tiny intervals cost
-    logarithmic work). Raises EmptyIntervalError when lo >= hi.
+    Returns 0 when the interval straddles 0 and otherwise the
+    smallest-denominator rational in the open interval, ties broken by
+    smallest numerator magnitude. The simplest rational of the inner
+    interval (lo's upper bound, hi's lower bound) lies in (lo, hi), and
+    the simplest of the outer one is at least as simple as any rational
+    in (lo, hi); once the enclosures are narrow enough for the two to
+    agree, that rational is the answer. Raises EmptyIntervalError when
+    lo >= hi.
     """
     lo_expr = RootExpr.coerce(lo)
     hi_expr = RootExpr.coerce(hi)
     if _Value(lo_expr - hi_expr).sign() >= 0:
         raise EmptyIntervalError(f"empty interval: lo {lo_expr!r} >= hi {hi_expr!r}")
-    lo_val = _Value(lo_expr)
-    hi_val = _Value(hi_expr)
-    if lo_val.sign() < 0:
-        if hi_val.sign() > 0:
-            return Fraction(0)
-        # entirely nonpositive: mirror into the positive cone
-        return -_positive_mediant_search(_Value(-hi_expr), _Value(-lo_expr))
-    return _positive_mediant_search(lo_val, hi_val)
+
+    def choose(lo_lo: int, lo_hi: int, lo_den: int,
+               hi_lo: int, hi_hi: int, hi_den: int) -> Optional[Fraction]:
+        inner = _simplest_between(lo_hi, lo_den, hi_lo, hi_den)
+        return inner if inner == _simplest_between(lo_lo, lo_den, hi_hi, hi_den) else None
+
+    return _Value.settle(choose, _Value(lo_expr), _Value(hi_expr))
 
 
-def _positive_mediant_search(lo: _Value, hi: _Value) -> Fraction:
-    """Stern-Brocot walk for 0 <= lo < hi; first tree node inside wins."""
-    a, b = 0, 1  # left fence  a/b <= lo
-    c, d = 1, 0  # right fence c/d >= hi
-    while True:
-        p, q = a + c, b + d
-        med = Fraction(p, q)
-        side = lo.compare_to(med)
-        # each walk takes the largest step j; step 1 is the mediant just compared
-        if side != Ordering.LESS:  # med <= lo: walk right
-            j = least_true(lambda k: lo.compare_to(Fraction(a + k * c, b + k * d))
-                           == Ordering.LESS, 1) - 1
-            a, b = a + j * c, b + j * d
-        elif hi.compare_to(med) != Ordering.GREATER:  # med >= hi: walk left
-            j = least_true(lambda k: hi.compare_to(Fraction(c + k * a, d + k * b))
-                           == Ordering.GREATER, 1) - 1
-            c, d = c + j * a, d + j * b
+def _floor_approx(p: int, q: int, cap: int) -> tuple[int, int]:
+    """Largest a/b <= p/q with 1 <= b <= cap (q > 0), as coprime (a, b).
+
+    Walks the Stern-Brocot tree between neighbouring fences a/b <= p/q <
+    c/d, moving one fence per step as far as it stays on its side of p/q
+    (the lower one no further than the cap allows). Once b + d exceeds the
+    cap, every rational strictly between the fences has a denominator above
+    it, so a/b is the answer.
+    """
+    a, b = p // q, 1
+    c, d = a + 1, 1
+    while b + d <= cap:
+        below = p * b - a * q  # bq * (p/q - a/b) >= 0
+        if not below:
+            break
+        above = c * q - p * d  # dq * (c/d - p/q) > 0
+        k = below // above  # (a + kc)/(b + kd) <= p/q
+        if k:
+            k = min(k, (cap - b) // d)
+            a, b = a + k * c, b + k * d
         else:
-            return med
+            k = (above - 1) // below  # (c + ka)/(d + kb) > p/q
+            c, d = c + k * a, d + k * b
+    return a, b
 
 
 def largest_rational_at_most(value: ExprLike, den_cap: int) -> Fraction:
     """Largest p/q <= value with 1 <= q <= den_cap, for positive values.
 
-    Walks the Stern-Brocot tree toward the value. While the fences
-    (lower a/b <= value, upper c/d > value) have mediant denominator b+d
-    within the cap, the walk continues; once b+d exceeds it, every rational
-    strictly above a/b and at most the value has denominator >= b+d, so a/b
-    is the answer. If that answer is 0 (the value lies below 1/den_cap),
-    falls back to 1/q for the least workable q, deliberately exceeding the
-    cap so the result stays positive.
+    For an enclosure lo <= value <= hi, the answers for lo and for hi agree
+    only when no rational with denominator at most den_cap lies in (lo, hi],
+    and then their common answer is the value's. If that answer is 0 (the
+    value lies below 1/den_cap), returns 1/q for the least q with
+    1/q <= value, deliberately exceeding the cap so the result stays
+    positive; that q is ceil(1/value), again read off both ends.
     """
     if den_cap < 1:
         raise ValueError(f"den_cap must be >= 1, got {den_cap}")
     val = _Value(RootExpr.coerce(value))
     if val.sign() <= 0:
         raise ValueError("largest_rational_at_most expects a positive value")
-    exact = val.is_rational()
-    if exact is not None and exact.denominator <= den_cap:
-        return exact
-    f = _floor_value(val)
-    a, b = f, 1        # a/b <= value
-    c, d = f + 1, 1    # c/d > value
-    while b + d <= den_cap:
-        side = val.compare_to(Fraction(a + c, b + d))
-        if side == Ordering.GREATER:
-            # mediant < value: improve the lower fence, but never past the cap
-            # (bounding the probe also keeps it finite when the upper fence
-            # has already collapsed onto a rational value); as in the
-            # mediant search, step 1 is the mediant just compared
-            j_cap = (den_cap - b) // d
-            j = least_true(lambda k: k > j_cap or val.compare_to(
-                Fraction(a + k * c, b + k * d)) != Ordering.GREATER, 1) - 1
-            a, b = a + j * c, b + j * d
-        elif side == Ordering.LESS:
-            # mediant > value: tighten the upper fence (its denominator is
-            # allowed to exceed the cap; only the lower fence is the answer)
-            j = least_true(lambda k: val.compare_to(Fraction(c + k * a, d + k * b))
-                           != Ordering.LESS, 1) - 1
-            c, d = c + j * a, d + j * b
-        else:
-            # mediant == value: possible only for a rational value whose
-            # denominator exceeds the cap; approach it from below
-            c, d = a + c, b + d
-    if a > 0:
-        return Fraction(a, b)
-    # value < 1/den_cap: smallest q with 1/q <= value keeps the bound positive
-    return Fraction(1, least_true(
-        lambda k: val.compare_to(Fraction(1, k)) != Ordering.LESS, 1))
+
+    def choose(lo: int, hi: int, den: int) -> Optional[Fraction]:
+        a, b = _floor_approx(lo, den, den_cap)
+        if (a, b) != _floor_approx(hi, den, den_cap):
+            return None
+        if a > 0:
+            return Fraction(a, b)
+        if lo <= 0:
+            return None
+        q = -(-den // lo)
+        return Fraction(1, q) if q == -(-den // hi) else None
+
+    return _Value.settle(choose, val)

@@ -1,5 +1,6 @@
 """Set memberships and neighborhood-radius certificates."""
 
+import hashlib
 import time
 from fractions import Fraction as F
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from erdos_clopen.exact import Ordering, RootValue, cmp_root_expr, RootExpr
 from erdos_clopen.space import ZERO, Point
+from erdos_clopen.harness import SampleConfig, sample_point
 from erdos_clopen.clopen import (
     DEFAULT_PAIR,
     DEFAULT_SCHEDULE,
@@ -276,6 +278,24 @@ class TestOOpennessRadius:
     def test_requires_point_inside_O(self):
         with pytest.raises(PreconditionViolatedError):
             o_openness_radius(pt(3, 1), DEFAULT_SCHEDULE)
+
+
+class TestPinnedCertificateBounds:
+    def test_bounds_on_sampled_points(self):
+        """sha256 of the certified bounds of 300 seed-42 points, recorded
+        once and pinned: a faster search must choose the same rationals."""
+        config = SampleConfig(seed=42, count=300)
+        lines = []
+        for draw in range(config.count):
+            x = sample_point(config, draw)
+            radius = openness_radius if in_A(x, DEFAULT_PAIR) else closedness_radius
+            line = f"{draw} {radius(x, DEFAULT_PAIR).bound}"
+            if in_O(x, DEFAULT_SCHEDULE):
+                line += f" {o_openness_radius(x, DEFAULT_SCHEDULE).bound}"
+            lines.append(line)
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == (
+            "b684c0c46ed9160dea1cd53b71b29f32439d700385450eefd2970b75c84df046")
 
 
 class TestCertificateNeighborhoods:

@@ -1,11 +1,14 @@
 """Exact-arithmetic layer: orderings, root values, interval selection."""
 
+import hashlib
 import random
+from math import gcd
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from erdos_clopen import exact
 from erdos_clopen.exact import (
     EmptyIntervalError,
     InvalidRootError,
@@ -214,6 +217,17 @@ class TestComparisonStress:
         assert cmp_root_expr(lhs, root(2, 2)) == Ordering.EQUAL
 
 
+def near_third(above: bool) -> RootExpr:
+    """1/3 + (sqrt(2) - p/q) for the first continued-fraction convergent p/q
+    of sqrt(2) with q > 2^33 lying on the given side of sqrt(2): an
+    irrational value within 2^-66 of 1/3, closer than the 2^-64 starting
+    enclosure can tell."""
+    p, q = 1, 1
+    while q <= 2 ** 33 or (p * p < 2 * q * q) != above:
+        p, q = p + 2 * q, p + q
+    return rat(F(1, 3) - F(p, q)) + RootExpr.of_root(F(1), root(2, 2))
+
+
 def brute_force_simplest(lo_cmp, hi_cmp, window, max_den=200):
     """Smallest-denominator rational v with lo < v < hi, by exhaustive scan
     over a numeric window (lo_bound, hi_bound) enclosing the interval;
@@ -236,6 +250,16 @@ class TestRationalInInterval:
         assert rational_in_interval(F(0), F(1)) == F(1, 2)
         with pytest.raises(EmptyIntervalError):
             rational_in_interval(F(1), F(1))
+
+    def test_answer_next_to_an_irrational_endpoint(self):
+        # 1/3 lies inside the starting enclosure of the near endpoint, and is
+        # the answer exactly when it lies inside the interval
+        assert rational_in_interval(near_third(above=False), F(7, 20)) == F(1, 3)
+        assert rational_in_interval(F(8, 25), near_third(above=True)) == F(1, 3)
+        assert rational_in_interval(near_third(above=True), F(7, 20)) \
+            == rational_in_interval(F(1, 3), F(7, 20)) == F(8, 23)
+        assert rational_in_interval(F(8, 25), near_third(above=False)) \
+            == rational_in_interval(F(8, 25), F(1, 3))
 
     def test_reversed_is_empty(self):
         with pytest.raises(EmptyIntervalError):
@@ -290,6 +314,33 @@ class TestRationalInInterval:
         v = rational_in_interval(lo, hi)
         assert cmp_root_expr(rat(lo), rat(v)) == Ordering.LESS
         assert cmp_root_expr(rat(v), rat(hi)) == Ordering.LESS
+
+
+class TestIntegerHelpers:
+    def test_floor_approx_matches_scan_over_denominators(self):
+        rng = random.Random(4112)
+        for _ in range(400):
+            q = rng.randint(1, 10 ** rng.randint(1, 12))
+            p = rng.randint(-3 * q, 50 * q)
+            cap = rng.randint(1, 200)
+            a, b = exact._floor_approx(p, q, cap)
+            assert 1 <= b <= cap and gcd(a, b) == 1
+            assert F(a, b) == max(F(p * d // q, d) for d in range(1, cap + 1))
+
+    @given(st.fractions(min_value=-30, max_value=30, max_denominator=40),
+           st.fractions(min_value=-30, max_value=30, max_denominator=40))
+    @settings(max_examples=300, deadline=None)
+    def test_simplest_between_matches_exhaustive_scan(self, a, b):
+        got = exact._simplest_between(a.numerator, a.denominator,
+                                      b.numerator, b.denominator)
+        if a >= b:
+            assert got is None
+        elif a < 0 < b:
+            assert got == 0
+        elif b <= 0:  # the mirror image of the scan, as in rational_in_interval
+            assert -got == brute_force_simplest(lambda v: v > -b, lambda v: v < -a, (-b, -a))
+        else:
+            assert got == brute_force_simplest(lambda v: v > a, lambda v: v < b, (a, b))
 
 
 class TestLeastTrue:
@@ -357,8 +408,70 @@ class TestLargestRationalAtMost:
                         best = cand if best is None else max(best, cand)
             assert got == best
 
+    def test_irrational_value_next_to_a_small_rational(self):
+        assert largest_rational_at_most(near_third(above=True), 1000) == F(1, 3)
+        assert largest_rational_at_most(near_third(above=False), 1000) \
+            == max(F((b - 1) // 3, b) for b in range(1, 1001)) == F(333, 1000)
+
+    def test_refinement_limit_raises_instead_of_looping(self, monkeypatch):
+        # the 2^-64 starting enclosure contains 1/3, so only refining decides
+        monkeypatch.setattr(exact._Value, "_MAX_BITS", 64)
+        for above in (True, False):
+            with pytest.raises(RuntimeError):
+                largest_rational_at_most(near_third(above), 1000)
+
+    def test_positivity_fallback_on_irrational_value(self):
+        value = RootExpr.of_root(F(1, 1000), root(2, 2))  # sqrt(2)/1000
+        got = largest_rational_at_most(value, 100)
+        assert got == F(1, 708)  # 707 < 1000/sqrt(2) < 708
+        assert cmp_root_expr(rat(got), value) == Ordering.LESS
+        assert cmp_root_expr(rat(F(1, 707)), value) == Ordering.GREATER
+
     def test_rejects_nonpositive_values(self):
         with pytest.raises(ValueError):
             largest_rational_at_most(F(0), 10)
         with pytest.raises(ValueError):
             largest_rational_at_most(rat(1) - rat(2), 10)
+
+
+def seeded_two_term_exprs(count, seed):
+    """Signed two-term sums, each term rational or rational * root."""
+    rng = random.Random(seed)
+
+    def term():
+        coef = F(rng.choice([-1, 1]) * rng.randint(1, 40), rng.randint(1, 40))
+        if rng.random() < 0.25:
+            return rat(coef)
+        base = F(rng.randint(1, 60), rng.randint(1, 60))
+        while _is_square(base):
+            base += 1
+        return RootExpr.of_root(coef, root(base, rng.choice([2, 4])))
+
+    return [(term() + term(), rng.randint(0, 40)) for _ in range(count)]
+
+
+class TestPinnedSearchResults:
+    def test_searches_on_seeded_expressions(self):
+        """sha256 of both searches on 2000 seeded expressions, recorded once
+        and pinned: the bounds and witness rationals must not move."""
+        exprs = seeded_two_term_exprs(2000, 4111)
+        lines = []
+        for (expr, width_bits), (other, _) in zip(exprs, exprs[1:] + exprs[:1]):
+            order = cmp_root_expr(expr, rat(0))
+            if order == Ordering.EQUAL:
+                lines.append("zero")
+                continue
+            positive = expr if order == Ordering.GREATER else -expr
+            caps = [largest_rational_at_most(positive, cap) for cap in (1, 10, 10 ** 6)]
+            narrow = rational_in_interval(expr, expr + rat(F(1, 2 ** width_bits)))
+            side = cmp_root_expr(expr, other)
+            if side == Ordering.EQUAL:
+                wide = None
+            elif side == Ordering.LESS:
+                wide = rational_in_interval(expr, other)
+            else:
+                wide = rational_in_interval(other, expr)
+            lines.append(" ".join(map(str, caps + [narrow, wide])))
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == (
+            "43cc5b6f38dfecbec4998962838deb4fcefe5b2348a292a03dde384a3ac99590")

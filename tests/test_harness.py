@@ -1,5 +1,6 @@
 """Sampling determinism and the claim-verification drivers."""
 
+import hashlib
 import json
 from fractions import Fraction as F
 
@@ -110,6 +111,18 @@ class TestSamplerMatchesPool:
             ours, theirs = SplitMix64(seed), SplitMix64(seed)
             assert _sample_point_with(ours, config) == pool_sample(theirs, config)
             assert ours.next_u64() == theirs.next_u64()  # same draws consumed
+
+
+class TestPinnedSampledPoints:
+    def test_sampled_point_bytes(self):
+        """sha256 of 2000 seed-42 draws, recorded once and pinned; the verify
+        report alone is blind to sign errors, since A and O are symmetric
+        under x -> -x."""
+        config = SampleConfig(seed=42, count=2000)
+        text = "\n".join(json.dumps(sample_point(config, d).to_json(), sort_keys=True)
+                         for d in range(config.count))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "83deca3d5349c6f407073fd41479b1a8b312c32ea47a9f29038d99a172fc0090")
 
 
 class TestPerturbWithin:
