@@ -33,9 +33,7 @@ from .clopen import (
     closedness_radius,
     first_failing_n,
     first_violating_index,
-    in_A,
     in_E_alpha,
-    in_O,
     o_openness_radius,
     openness_radius,
 )
@@ -145,16 +143,15 @@ def _cmd_check(args) -> int:
         trace = {"m_index": m_index(point, alpha)}
     elif args.set == "A":
         pair = _pair_from_args(args)
-        member = in_A(point, pair)
-        trace = {
-            "m_index": m_index(point, pair.alpha),
-            "first_violating_index": first_violating_index(point, pair),
-        }
+        violating = first_violating_index(point, pair)
+        member = violating is None
+        trace = {"m_index": m_index(point, pair.alpha), "first_violating_index": violating}
     else:  # O
         schedule = _load_schedule(args.schedule)
-        member = in_O(point, schedule)
+        failing = first_failing_n(point, schedule)
+        member = failing is None
         trace = {
-            "first_failing_n": first_failing_n(point, schedule),
+            "first_failing_n": failing,
             "alpha_cutoff": schedule.least_n_with_alpha_above(point.norm_sq()),
         }
     _emit({"member": member, "set": args.set, "trace": trace}, args.out)

@@ -26,10 +26,10 @@ from .exact import (
     RootExpr,
     RootValue,
     expr_min,
+    floor_root,
     format_rational,
     is_rational_power,
     largest_rational_at_most,
-    least_true,
     parse_rational,
 )
 from .space import Point, m_index
@@ -143,21 +143,17 @@ class Schedule:
         return 2 * self.beta_scale ** 2 / (n * n)
 
     def least_n_with_alpha_above(self, norm_sq: Fraction) -> int:
-        """Least n with norm_sq < alpha_n^2 (equality cannot occur).
-
-        norm_sq < alpha_n^2 iff norm_sq^2 < 2*a^4*n^4; integer-only search.
-        """
-        coef = 2 * self.alpha_scale ** 4
+        """Least n with norm_sq < alpha_n^2, i.e. n^4 > norm_sq^2 / (2*a^4)
+        (equality cannot occur), computed in the integers of norm_sq = p/q
+        and a = alpha_scale = u/v."""
         p, q = norm_sq.numerator, norm_sq.denominator
-        lhs = p * p * coef.denominator
-        rhs_unit = coef.numerator * q * q  # condition: lhs < rhs_unit * n^4
-        return least_true(lambda n: lhs < rhs_unit * n ** 4)
+        u, v = self.alpha_scale.numerator, self.alpha_scale.denominator
+        return floor_root(p * p * v ** 4 // (2 * u ** 4 * q * q), 4) + 1
 
     def least_n_with_beta_below(self, bound: Fraction) -> int:
-        """Least n with beta_n < bound, for a positive rational bound
-        (equality cannot occur: beta_n is irrational)."""
-        bound_sq = bound * bound
-        return least_true(lambda n: self.beta_sq(n) < bound_sq)
+        """Least n with beta_n < bound, i.e. n^2 > 2*b^2 / bound^2, for a
+        positive rational bound (equality cannot occur: beta_n is irrational)."""
+        return floor_root(2 * self.beta_scale ** 2 / bound ** 2, 2) + 1
 
     def to_json(self) -> dict:
         return {

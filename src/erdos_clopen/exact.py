@@ -84,16 +84,18 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def floor_root(value: Union[Fraction, int], degree: int) -> int:
+    """floor(value^(1/degree)) for a rational or integer value >= 0, degree
+    2 or 4: the same root of floor(value), by one or two `isqrt`s. The least
+    integer k with k^degree > value is floor_root(value, degree) + 1."""
+    r = isqrt(value.numerator // value.denominator)
+    return isqrt(r) if degree == 4 else r
+
+
 def _iroot_exact(n: int, degree: int) -> Optional[int]:
     """Return r with r**degree == n for n >= 0, else None."""
-    if n < 0:
-        return None
-    if degree == 2:
-        r = isqrt(n)
-        return r if r * r == n else None
-    # degree 4: floor(n^(1/4)) == isqrt(isqrt(n))
-    r = isqrt(isqrt(n))
-    return r if r ** 4 == n else None
+    r = floor_root(n, degree)
+    return r if r ** degree == n else None
 
 
 def is_rational_power(value: Fraction, degree: int) -> Optional[Fraction]:
@@ -290,9 +292,7 @@ def _root_enclosure(n: int, degree: int, bits: int) -> int:
     the floor r of n^(1/degree) * 2^bits is never exact and both bounds are
     strict.
     """
-    if degree == 2:
-        return isqrt(n << 2 * bits)
-    return isqrt(isqrt(n << 4 * bits))
+    return floor_root(n << degree * bits, degree)
 
 
 def _canonical_root_term(coef: Fraction, root: RootValue) -> tuple[Fraction, int, int]:
@@ -445,26 +445,6 @@ def expr_min(*exprs: ExprLike) -> RootExpr:
         if _Value(candidate - best).sign() < 0:
             best = candidate
     return best
-
-
-def least_true(pred: Callable[[int], bool], known_false: int = 0) -> int:
-    """Least n > known_false with pred(n), for pred monotone (false, then
-    true for good) on the integers past known_false.
-
-    Doubles from max(1, 2*known_false) until pred holds, then bisects the
-    last doubling step, so it makes O(log n) calls. pred(known_false) is
-    taken as false and never called.
-    """
-    lo, hi = known_false, max(1, 2 * known_false)
-    while not pred(hi):
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 def _simplest_between(xp: int, xq: int, yp: int, yq: int) -> Optional[Fraction]:

@@ -13,10 +13,10 @@ import time
 from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt, lcm
+from math import lcm
 from typing import Optional
 
-from .exact import format_rational
+from .exact import floor_root, format_rational
 from .space import Point, add, scale, unit
 from .clopen import (
     AlphaBetaPair,
@@ -157,13 +157,12 @@ def _sample_rational_positive(rng: SplitMix64, config: SampleConfig) -> Fraction
 def _scaled_within(direction: Point, bound: Fraction) -> Point:
     """Scale a direction so its norm is certified strictly below bound.
 
-    With c = isqrt(floor(|d|^2)) + 1, the integer c^2 exceeds floor(|d|^2)
-    and hence |d|^2, so |d| * bound / (2c) < bound / 2.
+    With c = floor(|d|) + 1, the least integer with c^2 > |d|^2,
+    |d| * bound / (2c) < bound / 2.
     """
     if direction.is_zero():
         return direction
-    norm_sq = direction.norm_sq()
-    root_ceil = isqrt(norm_sq.numerator // norm_sq.denominator) + 1
+    root_ceil = floor_root(direction.norm_sq(), 2) + 1
     return scale(bound / (2 * root_ceil), direction)
 
 
@@ -287,7 +286,8 @@ def _verify_c4(schedule: Schedule, config: SampleConfig) -> ClaimReport:
         x = sample_point(config, draw)
         report.eligible += 1
         cutoff = schedule.least_n_with_alpha_above(x.norm_sq())
-        member = in_O(x, schedule)
+        n_bad = first_failing_n(x, schedule)
+        member = n_bad is None
         extended = all(in_A(x, schedule.pair_at(n)) for n in range(1, cutoff + 11))
         if member != extended:
             report.violations.append(_violation(
@@ -303,7 +303,6 @@ def _verify_c4(schedule: Schedule, config: SampleConfig) -> ClaimReport:
                         draw, x, "in-radius perturbation escaped O",
                         certificate=cert.to_json(), perturbed=y))
         else:
-            n_bad = first_failing_n(x, schedule)
             cert = closedness_radius(x, schedule.pair_at(n_bad))
             for inner in range(config.count_inner):
                 rng = SplitMix64(derive_seed(config.seed, draw, inner, 4))

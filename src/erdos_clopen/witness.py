@@ -19,11 +19,9 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .exact import (
-    Ordering,
     RootValue,
-    cmp_rational_vs_root,
+    floor_root,
     format_rational,
-    least_true,
     rational_in_interval,
 )
 from .space import Point, add, m_index, scale, unit
@@ -72,25 +70,26 @@ class VSpec:
 
 
 def _norm_exceeds(point: Point, threshold: RootValue) -> bool:
-    """norm(point) > threshold, exactly (threshold^2 is sqrt(base) for a
-    degree-4 threshold and base itself for degree 2)."""
-    norm_sq = point.norm_sq()
-    if threshold.degree == 4:
-        return cmp_rational_vs_root(norm_sq, RootValue(threshold.base, 2)) == Ordering.GREATER
-    return norm_sq > threshold.base
+    """norm(point) > base^(1/d), exactly, as norm_sq^(d/2) > base (d = 2 or
+    4; both sides are nonnegative, so raising them to the power d keeps the
+    order)."""
+    return point.norm_sq() ** (threshold.degree // 2) > threshold.base
 
 
 def ray_source(direction: Optional[Point] = None) -> PointSource:
-    """Integer multiples of a fixed nonzero direction (default e_1);
-    yields the least multiple past the threshold."""
+    """Integer multiples of a fixed nonzero direction d (default e_1);
+    yields the least multiple k*d past the threshold base^(1/deg), that is
+    the least k with k^deg > base / |d|^deg (both sides to the power deg)."""
     if direction is None:
         direction = unit(1)
     if direction.is_zero():
         raise ValueError("ray direction must be nonzero")
+    norm_sq = direction.norm_sq()
 
     def source(threshold: RootValue) -> Point:
-        c = least_true(lambda k: _norm_exceeds(scale(Fraction(k), direction), threshold))
-        return scale(Fraction(c), direction)
+        degree = threshold.degree
+        return scale(floor_root(threshold.base / norm_sq ** (degree // 2), degree) + 1,
+                     direction)
 
     return source
 
@@ -141,8 +140,8 @@ class WitnessRecord:
 
 
 def _least_n_star(r_star: Fraction) -> int:
-    """Least positive integer with 1/n < r_star."""
-    return (1 / r_star).numerator // (1 / r_star).denominator + 1
+    """Least positive integer with 1/n < r_star, i.e. n > 1/r_star."""
+    return r_star.denominator // r_star.numerator + 1
 
 
 def construct_witness(v: VSpec, schedule: Schedule) -> WitnessRecord:

@@ -18,9 +18,9 @@ from erdos_clopen.exact import (
     UnsupportedFormError,
     cmp_rational_vs_root,
     cmp_root_expr,
+    floor_root,
     format_rational,
     largest_rational_at_most,
-    least_true,
     parse_rational,
     rational_in_interval,
 )
@@ -343,33 +343,48 @@ class TestIntegerHelpers:
             assert got == brute_force_simplest(lambda v: v > a, lambda v: v < b, (a, b))
 
 
-class TestLeastTrue:
+def near_powers(degree):
+    """0, perfect powers k^degree and the integers and rationals just
+    below and just above them."""
+    def around(k):
+        n = k ** degree
+        return st.sampled_from([F(n), F(n - 1), F(n + 1), n - F(1, 10 ** 60),
+                                n + F(1, 10 ** 60)]).filter(lambda v: v >= 0)
+    return st.integers(min_value=0, max_value=10 ** 40).flatmap(around)
+
+
+sixty_digit_rationals = st.builds(F, st.integers(min_value=0, max_value=10 ** 60),
+                                  st.integers(min_value=1, max_value=10 ** 60))
+
+
+class TestFloorRoot:
     @staticmethod
-    def guarded(t, known_false, calls):
-        """n >= t, failing the test when called at or below known_false."""
-        def pred(n):
-            assert n > known_false, f"probed {n} <= known_false {known_false}"
-            calls.append(n)
-            return n >= t
-        return pred
+    def check(value, degree):
+        k = floor_root(value, degree)
+        assert k ** degree <= value < (k + 1) ** degree
 
-    def test_matches_linear_scan_on_random_thresholds(self):
-        rng = random.Random(2111)
-        for _ in range(30):
-            t = rng.randint(1, 10 ** 6)
-            known_false = rng.randrange(t)
-            calls = []
-            got = least_true(self.guarded(t, known_false, calls), known_false)
-            scan = known_false + 1
-            while not scan >= t:
-                scan += 1
-            assert got == scan
-            assert len(calls) <= 2 * t.bit_length() + 2
+    @pytest.mark.parametrize("degree", [2, 4])
+    def test_small_integers_and_zero(self, degree):
+        for n in range(700):
+            self.check(n, degree)
+            self.check(F(n), degree)
+        assert floor_root(0, degree) == 0
 
-    def test_never_probes_known_false(self):
-        for known_false in range(0, 40):
-            for t in range(known_false + 1, known_false + 70):
-                assert least_true(self.guarded(t, known_false, []), known_false) == t
+    @given(st.sampled_from([2, 4]), st.data())
+    @settings(max_examples=300)
+    def test_around_perfect_powers(self, degree, data):
+        self.check(data.draw(near_powers(degree)), degree)
+
+    @given(sixty_digit_rationals, st.sampled_from([2, 4]))
+    @settings(max_examples=300)
+    def test_sixty_digit_rationals(self, value, degree):
+        self.check(value, degree)
+
+    def test_powers_of_fractions(self):
+        assert floor_root(F(16, 81), 4) == 0
+        assert floor_root(F(81, 16), 4) == 1    # (3/2)^4
+        assert floor_root(F(10 ** 8 - 1), 4) == 99
+        assert floor_root(F(10 ** 8), 4) == 100
 
 
 class TestLargestRationalAtMost:

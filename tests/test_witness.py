@@ -1,10 +1,14 @@
 """Witness construction, the generalized variant, and the verdict."""
 
+import hashlib
+import json
+import random
 import time
 from fractions import Fraction as F
 
 import pytest
 
+from erdos_clopen.exact import RootValue, is_rational_square
 from erdos_clopen.space import Point, unit
 from erdos_clopen.clopen import DEFAULT_SCHEDULE, Schedule, in_O
 from erdos_clopen.witness import (
@@ -19,6 +23,7 @@ from erdos_clopen.witness import (
     ray_source,
     refute_group_compatibility,
     verify_witness,
+    _norm_exceeds,
 )
 
 import oracle
@@ -112,6 +117,83 @@ class TestConstructWitness:
         record = construct_witness(VSpec(F(1), ray_source()), schedule)
         assert all(check["holds"] for check in record.checks)
         assert not in_O(record.z, schedule)
+
+
+class TestRaySource:
+    """The ray source's multiple is the least k with norm(k*d) above the
+    threshold, the one a linear scan over k with _norm_exceeds finds."""
+
+    @staticmethod
+    def scanned(direction, threshold):
+        k = 1
+        while not _norm_exceeds(k * direction, threshold):
+            k += 1
+        return k * direction
+
+    def test_tie_at_degree_two_threshold(self):
+        # |e_1 + e_2|^2 = 2 does not exceed sqrt(2)^2 = 2, so k = 2
+        direction = pt([(1, 1), (2, 1)])
+        threshold = RootValue(F(2), 2)
+        assert not _norm_exceeds(direction, threshold)
+        assert ray_source(direction)(threshold) == 2 * direction == \
+            self.scanned(direction, threshold)
+
+    def test_matches_linear_scan(self):
+        rng = random.Random(3307)
+        for _ in range(300):
+            indices = rng.sample(range(1, 9), rng.randint(1, 3))
+            direction = Point([(i, F(rng.randint(-9, 9) or 1, rng.randint(1, 9)))
+                               for i in indices])
+            degree = rng.choice((2, 4))
+            base = F(rng.randint(1, 400 if degree == 2 else 10 ** 5), rng.randint(1, 9))
+            if is_rational_square(base):
+                continue
+            threshold = RootValue(base, degree)
+            assert ray_source(direction)(threshold) == self.scanned(direction, threshold)
+
+    def test_norm_exceeds_degree_four_matches_oracle(self):
+        # norm > base^(1/4) iff norm_sq > sqrt(base), decided by the oracle
+        rng = random.Random(3308)
+        for _ in range(300):
+            point = pt([(1, F(rng.randint(-40, 40), rng.randint(1, 9))),
+                        (3, F(rng.randint(-40, 40), rng.randint(1, 9)))])
+            base = F(rng.randint(1, 10 ** 7), rng.randint(1, 9))
+            if is_rational_square(base):
+                continue
+            expected = oracle.cmp_rational_vs_root(point.norm_sq(), base, 2) == "gt"
+            assert _norm_exceeds(point, RootValue(base, 4)) == expected
+
+
+class TestPinnedLookups:
+    def test_schedule_indices_and_ray_points(self):
+        """sha256 over seeded schedule-index lookups and ray-source points,
+        recorded from the doubling-and-bisection search they used before
+        being computed as integer roots: both must pick the same integers."""
+        rng = random.Random(2606)
+
+        def rational(low):
+            return F(rng.randrange(low, 10 ** rng.randint(1, 30)),
+                     rng.randrange(1, 10 ** rng.randint(1, 12)))
+
+        lines = []
+        for schedule in (DEFAULT_SCHEDULE, Schedule(F(1, 3), F(2)), Schedule(F(5), F(1, 7))):
+            for _ in range(2000):
+                norm_sq, bound = rational(0), rational(1)
+                lines.append(f"{schedule.least_n_with_alpha_above(norm_sq)} "
+                             f"{schedule.least_n_with_beta_below(bound)}")
+        for _ in range(1000):
+            indices = rng.sample(range(1, 21), rng.randint(1, 4))
+            direction = Point([(i, F(rng.choice((-1, 1)) * rng.randrange(1, 10 ** 6),
+                                     rng.randrange(1, 1000))) for i in indices])
+            base = rational(1)
+            while is_rational_square(base):
+                base = rational(1)
+            threshold = RootValue(base, rng.choice((2, 4)))
+            lines.append(json.dumps(ray_source(direction)(threshold).to_json(),
+                                    sort_keys=True))
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == (
+            "0a839664be5b05eeb05ffd548fedd1a551748aeaebff98b26f7ec82d734af79c")
 
 
 class TestScheduleCap:
