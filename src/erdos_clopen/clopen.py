@@ -106,6 +106,8 @@ class Schedule:
     rational scaling constants a, b keep every side condition (the factor 2
     under the root can never be absorbed into a rational square), so
     validation reduces to positivity plus constructing the n=1 roots.
+    Thresholds are built from the integers of the scales, and each RootValue
+    still re-checks its base.
     """
 
     alpha_scale: Fraction = Fraction(1)
@@ -119,12 +121,10 @@ class Schedule:
         self.pair_at(1)  # surfaces invalid roots immediately
 
     def alpha_at(self, n: int) -> RootValue:
-        self._check_n(n)
-        return RootValue(2 * self.alpha_scale ** 4 * n ** 4, 4)
+        return RootValue(self.alpha_sq_sq(n), 4)
 
     def beta_at(self, n: int) -> RootValue:
-        self._check_n(n)
-        return RootValue(2 * self.beta_scale ** 2 / (n * n), 2)
+        return RootValue(self.beta_sq(n), 2)
 
     def pair_at(self, n: int) -> AlphaBetaPair:
         self._check_n(n)
@@ -136,11 +136,16 @@ class Schedule:
             raise ValueError(f"schedule index must be a positive integer, got {n!r}")
 
     def alpha_sq_sq(self, n: int) -> Fraction:
-        """alpha_n^4, which is rational; norm_sq < alpha_n^2 iff norm_sq^2 < this."""
-        return 2 * self.alpha_scale ** 4 * n ** 4
+        """alpha_n^4 = 2*u^4*n^4/v^4 for a = u/v; norm_sq < alpha_n^2 iff norm_sq^2 < this."""
+        self._check_n(n)
+        u, v = self.alpha_scale.numerator, self.alpha_scale.denominator
+        return Fraction(2 * u ** 4 * n ** 4, v ** 4)
 
     def beta_sq(self, n: int) -> Fraction:
-        return 2 * self.beta_scale ** 2 / (n * n)
+        """beta_n^2 = 2*s^2 / (t^2*n^2) for b = s/t."""
+        self._check_n(n)
+        s, t = self.beta_scale.numerator, self.beta_scale.denominator
+        return Fraction(2 * s * s, t * t * n * n)
 
     def least_n_with_alpha_above(self, norm_sq: Fraction) -> int:
         """Least n with norm_sq < alpha_n^2, i.e. n^4 > norm_sq^2 / (2*a^4)

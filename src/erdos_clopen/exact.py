@@ -100,7 +100,7 @@ def _iroot_exact(n: int, degree: int) -> Optional[int]:
 
 def is_rational_power(value: Fraction, degree: int) -> Optional[Fraction]:
     """Return positive rational r with r**degree == value, if one exists."""
-    if value <= 0:
+    if value.numerator <= 0:
         return None
     pn = _iroot_exact(value.numerator, degree)
     if pn is None:
@@ -127,10 +127,11 @@ class RootValue:
     __slots__ = ("base", "degree")
 
     def __init__(self, base: Fraction, degree: int):
-        base = Fraction(base)
+        if type(base) is not Fraction:
+            base = Fraction(base)
         if degree not in (2, 4):
             raise InvalidRootError(f"degree must be 2 or 4, got {degree}")
-        if base <= 0:
+        if base.numerator <= 0:
             raise InvalidRootError(f"base must be positive, got {base}")
         if is_rational_square(base):
             raise InvalidRootError(

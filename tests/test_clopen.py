@@ -1,6 +1,8 @@
 """Set memberships and neighborhood-radius certificates."""
 
 import hashlib
+import json
+import random
 import time
 from fractions import Fraction as F
 
@@ -51,6 +53,26 @@ class TestSchedule:
         assert s.alpha_at(3) == RootValue(F(162), 4)      # 2*3^4
         assert s.beta_at(1) == RootValue(F(2), 2)
         assert s.beta_at(3) == RootValue(F(2, 9), 2)
+
+    @pytest.mark.parametrize("schedule", [
+        DEFAULT_SCHEDULE, Schedule(F(1, 3), F(2)), Schedule(F(5), F(1, 7)),
+        Schedule(F(10 ** 9 - 7, 999_999_937), F(123_456_789, 10 ** 9))])
+    def test_bases_match_definition(self, schedule):
+        a, b = schedule.alpha_scale, schedule.beta_scale
+        for n in (1, 2, 3, 7, 100, 4245, 10 ** 6):
+            assert schedule.alpha_sq_sq(n) == 2 * a ** 4 * F(n) ** 4
+            assert schedule.beta_sq(n) == 2 * b ** 2 / F(n) ** 2
+            assert type(schedule.alpha_sq_sq(n)) is F
+            assert type(schedule.beta_sq(n)) is F
+            assert schedule.alpha_at(n) == RootValue(2 * a ** 4 * F(n) ** 4, 4)
+            assert schedule.beta_at(n) == RootValue(2 * b ** 2 / F(n) ** 2, 2)
+
+    @pytest.mark.parametrize("call", ["alpha_sq_sq", "beta_sq", "alpha_at", "beta_at",
+                                      "pair_at"])
+    @pytest.mark.parametrize("n", [0, -2, -3, 1.0])
+    def test_formulas_reject_bad_indices(self, call, n):
+        with pytest.raises(ValueError, match="schedule index must be a positive integer"):
+            getattr(DEFAULT_SCHEDULE, call)(n)
 
     def test_monotonicity_and_limits(self):
         s = DEFAULT_SCHEDULE
@@ -105,6 +127,33 @@ class TestSchedule:
         assert norm * norm < s.alpha_sq_sq(n)
         if n > 1:
             assert norm * norm > s.alpha_sq_sq(n - 1)
+
+
+class TestPinnedThresholds:
+    def test_pairs_and_bases(self):
+        """sha256 over pair_at(n).to_json(), alpha_sq_sq(n) and beta_sq(n) on
+        three schedules for n = 1..5000 and on 2000 seeded (scales, n) cases,
+        recorded from the Fraction-power formulas: building the thresholds
+        from the scale integers must give the same values."""
+
+        def line(schedule, n):
+            return (f"{json.dumps(schedule.pair_at(n).to_json(), sort_keys=True)} "
+                    f"{schedule.alpha_sq_sq(n)} {schedule.beta_sq(n)}")
+
+        lines = []
+        for schedule in (DEFAULT_SCHEDULE, Schedule(F(1, 3), F(2)), Schedule(F(5), F(1, 7))):
+            lines.extend(line(schedule, n) for n in range(1, 5001))
+        rng = random.Random(2607)
+
+        def scale():
+            return F(rng.randint(1, 10 ** rng.randint(0, 9)),
+                     rng.randint(1, 10 ** rng.randint(0, 9)))
+
+        for _ in range(2000):
+            lines.append(line(Schedule(scale(), scale()), rng.randint(1, 10 ** 6)))
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == (
+            "b645c781d7588cbe36fa6ef4ae9ee3627760b6890468d9e4b271ea3de01b004d")
 
 
 class TestMemberships:

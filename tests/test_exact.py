@@ -20,6 +20,7 @@ from erdos_clopen.exact import (
     cmp_root_expr,
     floor_root,
     format_rational,
+    is_rational_power,
     largest_rational_at_most,
     parse_rational,
     rational_in_interval,
@@ -82,6 +83,33 @@ class TestRootValue:
             root(-2, 2)
         with pytest.raises(InvalidRootError):
             RootValue(F(2), 3)
+
+    @pytest.mark.parametrize("base", [4, F(9, 4), F(8, 2), 2.25, 0, F(-2)])
+    @pytest.mark.parametrize("degree", [2, 4])
+    def test_rejects_squares_and_nonpositive_bases_of_any_type(self, base, degree):
+        with pytest.raises(InvalidRootError):
+            RootValue(base, degree)
+
+    def test_rejects_degree_three_of_any_base_type(self):
+        for base in (2, F(2), "2"):
+            with pytest.raises(InvalidRootError):
+                RootValue(base, 3)
+
+    @pytest.mark.parametrize("base", [2, "2", F(4, 2), 2.0])
+    def test_non_fraction_bases_are_stored_as_fractions(self, base):
+        r = RootValue(base, 4)
+        assert type(r.base) is F and r.base == 2
+        assert r == RootValue(F(2), 4)
+        assert hash(r) == hash(RootValue(F(2), 4))
+
+    def test_is_rational_power(self):
+        assert is_rational_power(F(9, 4), 2) == F(3, 2)
+        assert is_rational_power(F(16, 81), 4) == F(2, 3)
+        assert is_rational_power(F(2), 2) is None
+        assert is_rational_power(F(4), 4) is None
+        for value in (F(0), F(-4), F(-16, 81)):
+            assert is_rational_power(value, 2) is None
+            assert is_rational_power(value, 4) is None
 
     def test_json_round_trip(self):
         r = root(F(2, 3), 4)
