@@ -132,7 +132,7 @@ class Schedule:
 
     @staticmethod
     def _check_n(n: int) -> None:
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:  # bool is an int subclass, not an index
             raise ValueError(f"schedule index must be a positive integer, got {n!r}")
 
     def alpha_sq_sq(self, n: int) -> Fraction:

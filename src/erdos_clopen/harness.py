@@ -4,7 +4,8 @@ Every claim here is a theorem, so the suite is a falsification harness for
 the implementation: a violation report always indicates a bug and carries
 enough data (points, certificate, comparison trace) to replay the failed
 check in isolation. Sampling is a pure function of (config, draw index);
-reports are deterministic functions of (schedule, config).
+reports are deterministic functions of (schedule, config). Each in-radius
+perturbation of a point is built as one integer point.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from math import lcm
 from typing import Optional
 
 from .exact import floor_root, format_rational
-from .space import Point, add, scale, unit
+from .space import Point, _add_ints, unit
 from .clopen import (
     AlphaBetaPair,
     Schedule,
@@ -115,7 +116,8 @@ class SampleConfig:
         }
 
 
-def _sample_point_with(rng: SplitMix64, config: SampleConfig) -> Point:
+def _draw_ints(rng: SplitMix64, config: SampleConfig) -> tuple[list, list, int]:
+    """(increasing support, numerators, common denominator) of one sampled point."""
     size = rng.below(min(config.max_support, config.max_index) + 1)
     indices = []  # increasing
     for remaining in range(config.max_index, config.max_index - size, -1):
@@ -132,7 +134,11 @@ def _sample_point_with(rng: SplitMix64, config: SampleConfig) -> Point:
         nums.append(-magnitude if rng.below(2) else magnitude)
         dens.append(1 + rng.below(config.max_denominator))
     den = lcm(*dens)
-    return Point._from_ints(indices, [n * (den // d) for n, d in zip(nums, dens)], den)
+    return indices, [n * (den // d) for n, d in zip(nums, dens)], den
+
+
+def _sample_point_with(rng: SplitMix64, config: SampleConfig) -> Point:
+    return Point._from_ints(*_draw_ints(rng, config))
 
 
 def sample_point(config: SampleConfig, draw: int) -> Point:
@@ -154,22 +160,17 @@ def _sample_rational_positive(rng: SplitMix64, config: SampleConfig) -> Fraction
     return Fraction(num, den)
 
 
-def _scaled_within(direction: Point, bound: Fraction) -> Point:
-    """Scale a direction so its norm is certified strictly below bound.
-
-    With c = floor(|d|) + 1, the least integer with c^2 > |d|^2,
-    |d| * bound / (2c) < bound / 2.
-    """
-    if direction.is_zero():
-        return direction
-    root_ceil = floor_root(direction.norm_sq(), 2) + 1
-    return scale(bound / (2 * root_ceil), direction)
-
-
 def perturb_within(base: Point, bound: Fraction, rng: SplitMix64,
                    config: SampleConfig) -> Point:
-    """base plus a sampled direction scaled exactly inside the bound."""
-    return add(base, _scaled_within(_sample_point_with(rng, config), bound))
+    """base + bound/(2c) * d for a sampled direction d, built as one integer
+    point; c = floor(|d|) + 1 is the least integer with c^2 > |d|^2, so the
+    step |d| * bound / (2c) is below bound / 2."""
+    support, nums, den = _draw_ints(rng, config)
+    if not support:
+        return base
+    root_ceil = floor_root(sum(n * n for n in nums) // (den * den), 2) + 1
+    p, q = bound.numerator, bound.denominator
+    return _add_ints(base, support, [n * p for n in nums], 2 * root_ceil * q * den)
 
 
 CLAIM_IDS = ("C1", "C2", "C3", "C4", "C5", "Remark")

@@ -161,13 +161,18 @@ def add(x: Point, y: Point) -> Point:
         return x
     if x.is_zero():
         return y
-    den = lcm(x._den, y._den)
-    fx, fy = den // x._den, den // y._den
+    return _add_ints(x, y.support, y._nums, y._den)
+
+
+def _add_ints(x: Point, support: Sequence[int], nums: Sequence[int], den: int) -> Point:
+    """x plus nums[k] / den at the increasing indices support[k], canonicalised once."""
+    common = lcm(x._den, den)
+    fx, fy = common // x._den, common // den
     merged = dict(zip(x.support, [n * fx for n in x._nums]))
-    for index, n in zip(y.support, y._nums):
+    for index, n in zip(support, nums):
         merged[index] = merged.get(index, 0) + n * fy
-    support = sorted(merged)
-    return Point._from_ints(support, [merged[i] for i in support], den)
+    indices = sorted(merged)
+    return Point._from_ints(indices, [merged[i] for i in indices], common)
 
 
 def scale(factor: Fraction, x: Point) -> Point:

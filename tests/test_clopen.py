@@ -69,7 +69,7 @@ class TestSchedule:
 
     @pytest.mark.parametrize("call", ["alpha_sq_sq", "beta_sq", "alpha_at", "beta_at",
                                       "pair_at"])
-    @pytest.mark.parametrize("n", [0, -2, -3, 1.0])
+    @pytest.mark.parametrize("n", [0, -2, -3, 1.0, True, False])
     def test_formulas_reject_bad_indices(self, call, n):
         with pytest.raises(ValueError, match="schedule index must be a positive integer"):
             getattr(DEFAULT_SCHEDULE, call)(n)

@@ -5,9 +5,17 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from erdos_clopen.clopen import DEFAULT_PAIR, DEFAULT_SCHEDULE
-from erdos_clopen.space import Point
+from erdos_clopen.clopen import (
+    DEFAULT_PAIR,
+    DEFAULT_SCHEDULE,
+    closedness_radius,
+    in_A,
+    openness_radius,
+)
+from erdos_clopen.exact import floor_root
+from erdos_clopen.space import ZERO, Point, add, scale
 from erdos_clopen.harness import (
     CLAIM_IDS,
     InvalidParamsError,
@@ -125,14 +133,124 @@ class TestPinnedSampledPoints:
             "83deca3d5349c6f407073fd41479b1a8b312c32ea47a9f29038d99a172fc0090")
 
 
+def composed_perturb(base: Point, bound, rng: SplitMix64, config: SampleConfig) -> Point:
+    """Reference: the direction as a Point, scaled by the Fraction
+    bound/(2c) with c = floor(|d|) + 1, then added to base."""
+    direction = _sample_point_with(rng, config)
+    if direction.is_zero():
+        return base
+    root_ceil = floor_root(direction.norm_sq(), 2) + 1
+    return add(base, scale(F(bound) / (2 * root_ceil), direction))
+
+
+class TestPinnedPerturbations:
+    def test_perturbation_bytes(self):
+        """sha256 over 1200 perturb_within results and the draw after each:
+        100 seed-42 bases, three inner streams each, and per stream a
+        certificate bound, a 20-digit bound, an int bound and a
+        zero-direction config. Recorded with the `composed_perturb`
+        composition, each int bound given as the equal Fraction (that
+        composition divided an int bound in float; see
+        test_int_bound_is_exact). A and O are sign-symmetric, so the verify
+        report alone cannot see a sign error in the direction."""
+        config = SampleConfig(seed=42, count=100)
+        no_support = SampleConfig(max_support=0, seed=42, count=100)
+        lines = []
+        for draw in range(config.count):
+            base = sample_point(config, draw)
+            radius = openness_radius if in_A(base, DEFAULT_PAIR) else closedness_radius
+            cert_bound = radius(base, DEFAULT_PAIR).bound
+            big = SplitMix64(derive_seed(config.seed, draw, 7))
+            cases = (
+                (cert_bound, config),
+                (F(10 ** 19 + big.next_u64(), 10 ** 19 + big.next_u64()), config),
+                (1 + draw % 5, config),
+                (cert_bound, no_support),
+            )
+            for inner in range(3):
+                for case, (bound, case_config) in enumerate(cases):
+                    rng = SplitMix64(derive_seed(config.seed, draw, inner, case))
+                    y = perturb_within(base, bound, rng, case_config)
+                    lines.append(json.dumps([y.to_json(), rng.next_u64()], sort_keys=True))
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "9cc730da4d0c0c68081174ec80fee21ca6d2e6902580c2832ae7eee5c026efb8")
+
+    def test_int_bound_is_exact(self):
+        config = SampleConfig(seed=42, count=1)
+        base = Point({1: F(1, 3)})
+        for k in range(300):
+            bound = 1 + k % 7
+            ours, theirs = SplitMix64(k), SplitMix64(k)
+            assert perturb_within(base, bound, ours, config) == perturb_within(
+                base, F(bound), theirs, config)
+            assert ours.next_u64() == theirs.next_u64()
+
+
+def assert_matches_composition(base: Point, bound, seed: int, config: SampleConfig) -> Point:
+    ours, theirs = SplitMix64(seed), SplitMix64(seed)
+    y = perturb_within(base, bound, ours, config)
+    assert y == composed_perturb(base, bound, theirs, config)
+    assert ours.next_u64() == theirs.next_u64()  # same draws consumed
+    return y
+
+
 class TestPerturbWithin:
     def test_perturbation_stays_strictly_inside_bound(self):
         config = SampleConfig(seed=3, count=1)
-        from erdos_clopen.space import ZERO
         for k in range(200):
             bound = F(1, 1 + k % 17)
             y = perturb_within(ZERO, bound, SplitMix64(k), config)
             assert y.norm_sq() < bound * bound
+
+    def test_nonzero_bases_stay_within_half_the_bound(self):
+        config = SampleConfig(seed=5, count=200)
+        for draw in range(config.count):
+            base = sample_point(config, draw)
+            bound = F(1 + draw % 11, 1 + draw % 13)
+            y = perturb_within(base, bound, SplitMix64(draw), config)
+            assert (y - base).norm_sq() < bound ** 2
+            assert 4 * (y - base).norm_sq() < bound ** 2
+
+    def test_zero_direction_returns_base(self):
+        config = SampleConfig(max_support=0, seed=1, count=1)
+        for base in (ZERO, Point({2: F(-3, 7)})):
+            assert perturb_within(base, F(5, 3), SplitMix64(4), config) is base
+
+    def test_matches_composition_on_seeded_cases(self):
+        config = SampleConfig(max_support=8, max_index=10, max_numerator=9,
+                              max_denominator=12, seed=8, count=300)
+        for draw in range(config.count):
+            base = sample_point(config, draw)
+            # primes above max_denominator: coprime to every base denominator
+            for bound in (F(2, 3), F(97, 101), F(10 ** 21 + 7, 13), 3):
+                assert_matches_composition(base, bound, derive_seed(8, draw), config)
+
+    def test_direction_can_cancel_a_base_coordinate(self):
+        config = SampleConfig(seed=11, count=1)
+        bound = F(7, 5)
+        for seed in range(40):
+            step = composed_perturb(ZERO, bound, SplitMix64(seed), config)
+            if step.is_zero():
+                continue
+            index = step.support[0]
+            base = Point({index: -step.coordinate(index), 13: F(1, 2)})
+            y = assert_matches_composition(base, bound, seed, config)
+            assert index not in y.support
+            assert len(y.support) == len(step.support)
+
+    @given(st.lists(st.tuples(st.integers(min_value=1, max_value=15),
+                              st.fractions(min_value=-9, max_value=9, max_denominator=30)),
+                    max_size=7, unique_by=lambda t: t[0]),
+           st.fractions(min_value=F(1, 10 ** 6), max_value=10 ** 6),
+           st.integers(min_value=0, max_value=2 ** 64 - 1),
+           st.integers(min_value=0, max_value=8), st.integers(min_value=1, max_value=15),
+           st.integers(min_value=1, max_value=30))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_composition(self, entries, bound, seed, support, numerator,
+                                 denominator):
+        config = SampleConfig(max_support=support, max_index=15, max_numerator=numerator,
+                              max_denominator=denominator, seed=0, count=1)
+        assert_matches_composition(Point(entries), bound, seed, config)
 
 
 class TestVerifyClaim:
