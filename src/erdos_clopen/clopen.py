@@ -106,18 +106,25 @@ class Schedule:
     rational scaling constants a, b keep every side condition (the factor 2
     under the root can never be absorbed into a rational square), so
     validation reduces to positivity plus constructing the n=1 roots.
-    Thresholds are built from the integers of the scales, and each RootValue
-    still re-checks its base.
+    Thresholds are built from the integers (u, v, s, t) of a = u/v and
+    b = s/t, read once into `_scales`, and each RootValue still re-checks
+    its base. `_scales` is also the pair cache's key: equal schedules have
+    equal integers and share cache entries; it takes no part in ==, hash
+    or repr.
     """
 
     alpha_scale: Fraction = Fraction(1)
     beta_scale: Fraction = Fraction(1)
+    _scales: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha_scale", Fraction(self.alpha_scale))
-        object.__setattr__(self, "beta_scale", Fraction(self.beta_scale))
-        if self.alpha_scale <= 0 or self.beta_scale <= 0:
+        a, b = Fraction(self.alpha_scale), Fraction(self.beta_scale)
+        object.__setattr__(self, "alpha_scale", a)
+        object.__setattr__(self, "beta_scale", b)
+        if a <= 0 or b <= 0:
             raise ValueError("schedule scales must be positive")
+        object.__setattr__(self, "_scales",
+                           (a.numerator, a.denominator, b.numerator, b.denominator))
         self.pair_at(1)  # surfaces invalid roots immediately
 
     def alpha_at(self, n: int) -> RootValue:
@@ -128,7 +135,7 @@ class Schedule:
 
     def pair_at(self, n: int) -> AlphaBetaPair:
         self._check_n(n)
-        return _cached_pair(self, n)
+        return _cached_pair(self._scales, n)
 
     @staticmethod
     def _check_n(n: int) -> None:
@@ -136,23 +143,23 @@ class Schedule:
             raise ValueError(f"schedule index must be a positive integer, got {n!r}")
 
     def alpha_sq_sq(self, n: int) -> Fraction:
-        """alpha_n^4 = 2*u^4*n^4/v^4 for a = u/v; norm_sq < alpha_n^2 iff norm_sq^2 < this."""
+        """alpha_n^4; norm_sq < alpha_n^2 iff norm_sq^2 < this."""
         self._check_n(n)
-        u, v = self.alpha_scale.numerator, self.alpha_scale.denominator
-        return Fraction(2 * u ** 4 * n ** 4, v ** 4)
+        u, v, _, _ = self._scales
+        return _alpha_sq_sq(u, v, n)
 
     def beta_sq(self, n: int) -> Fraction:
-        """beta_n^2 = 2*s^2 / (t^2*n^2) for b = s/t."""
+        """beta_n^2; |x_l| < beta_n iff x_l^2 < this."""
         self._check_n(n)
-        s, t = self.beta_scale.numerator, self.beta_scale.denominator
-        return Fraction(2 * s * s, t * t * n * n)
+        _, _, s, t = self._scales
+        return _beta_sq(s, t, n)
 
     def least_n_with_alpha_above(self, norm_sq: Fraction) -> int:
         """Least n with norm_sq < alpha_n^2, i.e. n^4 > norm_sq^2 / (2*a^4)
         (equality cannot occur), computed in the integers of norm_sq = p/q
         and a = alpha_scale = u/v."""
         p, q = norm_sq.numerator, norm_sq.denominator
-        u, v = self.alpha_scale.numerator, self.alpha_scale.denominator
+        u, v, _, _ = self._scales
         return floor_root(p * p * v ** 4 // (2 * u ** 4 * q * q), 4) + 1
 
     def least_n_with_beta_below(self, bound: Fraction) -> int:
@@ -180,9 +187,25 @@ class Schedule:
         )
 
 
+def _alpha_sq_sq(u: int, v: int, n: int) -> Fraction:
+    """alpha_n^4 = 2*u^4*n^4/v^4 for alpha_scale = u/v."""
+    return Fraction(2 * u ** 4 * n ** 4, v ** 4)
+
+
+def _beta_sq(s: int, t: int, n: int) -> Fraction:
+    """beta_n^2 = 2*s^2/(t^2*n^2) for beta_scale = s/t."""
+    return Fraction(2 * s * s, t * t * n * n)
+
+
+# Keyed on a schedule's scale integers (u, v, s, t) and n, which are equal
+# exactly when the schedules are: equal schedules share entries, and a key
+# hashes as a tuple of ints, with no Fraction or dataclass hash or ==. The
+# schedule's own 4-tuple is passed, so a key holds two references.
 @lru_cache(maxsize=4096)
-def _cached_pair(schedule: "Schedule", n: int) -> AlphaBetaPair:
-    return AlphaBetaPair(schedule.alpha_at(n), schedule.beta_at(n))
+def _cached_pair(scales: tuple, n: int) -> AlphaBetaPair:
+    u, v, s, t = scales
+    return AlphaBetaPair(RootValue(_alpha_sq_sq(u, v, n), 4),
+                         RootValue(_beta_sq(s, t, n), 2))
 
 
 DEFAULT_SCHEDULE = Schedule()

@@ -112,7 +112,10 @@ def is_rational_power(value: Fraction, degree: int) -> Optional[Fraction]:
 
 
 def is_rational_square(value: Fraction) -> bool:
-    return is_rational_power(value, 2) is not None
+    """p/q in lowest terms is the square of a rational iff p > 0 and both
+    p and q are integer squares."""
+    p, q = value.numerator, value.denominator
+    return p > 0 and isqrt(p) ** 2 == p and isqrt(q) ** 2 == q
 
 
 class RootValue:

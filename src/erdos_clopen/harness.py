@@ -65,9 +65,10 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def below(self, n: int) -> int:
-        """Uniform integer in [0, n), unbiased via rejection."""
-        if n <= 0:
-            raise ValueError(f"below() needs n >= 1, got {n}")
+        """Uniform integer in [0, n), unbiased via rejection; 1 <= n <= 2^64
+        (past 2^64 no 64-bit draw would be accepted)."""
+        if not 0 < n <= 1 << 64:
+            raise ValueError(f"below() needs 1 <= n <= 2^64, got {n}")
         limit = (1 << 64) - ((1 << 64) % n)
         while True:
             v = self.next_u64()
@@ -99,8 +100,10 @@ class SampleConfig:
         if self.max_support < 0:
             raise InvalidParamsError("max_support must be >= 0")
         for name in ("max_index", "max_numerator", "max_denominator"):
-            if getattr(self, name) < 1:
-                raise InvalidParamsError(f"{name} must be >= 1")
+            if not 1 <= getattr(self, name) <= 1 << 64:
+                raise InvalidParamsError(f"{name} must be in [1, 2^64]")
+        if min(self.max_support, self.max_index) >= 1 << 64:  # a draw below(min + 1)
+            raise InvalidParamsError("max_support and max_index must not both be >= 2^64")
         if self.count < 0 or self.count_inner < 0:
             raise InvalidParamsError("count and count_inner must be >= 0")
 

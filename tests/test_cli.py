@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import subprocess
+import sys
 import time
 
 import pytest
@@ -227,6 +229,38 @@ class TestVerify:
                              "--max-index", "1000000000000")
         assert code == EXIT_OK
         assert time.perf_counter() - started < 1.0
+
+    @pytest.mark.parametrize("caps", [
+        ["--max-numerator", str(2 ** 64 + 1)],
+        ["--max-denominator", str(2 ** 64 + 1)],
+        ["--max-index", str(2 ** 64 + 1)],
+        ["--max-support", str(2 ** 64), "--max-index", str(2 ** 64)],
+        ["--max-support", str(2 ** 70), "--max-index", str(2 ** 64)],
+    ])
+    def test_caps_past_two_to_the_64_exit_2(self, caps):
+        """A 64-bit draw cannot cover more than 2^64 values; such caps once
+        sent the sampler's rejection loop round forever."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "erdos_clopen.cli", "verify", "--samples", "1",
+             "--claims", "1", *caps],
+            capture_output=True, text=True, timeout=10)
+        assert proc.returncode == EXIT_INVALID
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("caps", [
+        ["--max-numerator", str(2 ** 64)],
+        ["--max-denominator", str(2 ** 64)],
+        ["--max-index", str(2 ** 64)],
+        ["--max-support", str(2 ** 64)],
+    ])
+    def test_caps_of_two_to_the_64_run(self, caps):
+        proc = subprocess.run(
+            [sys.executable, "-m", "erdos_clopen.cli", "verify", "--samples", "5",
+             "--claims", "1", *caps],
+            capture_output=True, text=True, timeout=10)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert json.loads(proc.stdout)[0]["claim"] == "C1"
 
     def test_timings_flag_fills_elapsed(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--claims", "1", "--samples",

@@ -1,5 +1,6 @@
 """Set memberships and neighborhood-radius certificates."""
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -19,6 +20,7 @@ from erdos_clopen.clopen import (
     CertificateKind,
     PreconditionViolatedError,
     Schedule,
+    _cached_pair,
     closedness_radius,
     first_failing_n,
     in_A,
@@ -127,6 +129,61 @@ class TestSchedule:
         assert norm * norm < s.alpha_sq_sq(n)
         if n > 1:
             assert norm * norm > s.alpha_sq_sq(n - 1)
+
+
+class TestPairCache:
+    def test_pinned_traffic(self):
+        """Hits and misses of a fixed lookup sequence, recorded when the cache
+        was keyed on the Schedule object: two equal schedules share entries,
+        a third does not, and 2 x 5000 live keys overflow the 4096 entries,
+        so the second pass misses again (the cliff the benchmark's deep
+        witness scans straddle)."""
+        schedules = (Schedule(), Schedule(F(3, 3), F(2, 2)), Schedule(F(1, 3), 2))
+        _cached_pair.cache_clear()
+        for _ in range(2):
+            for n in range(1, 5001):
+                for schedule in schedules:
+                    schedule.pair_at(n)
+        info = _cached_pair.cache_info()
+        assert (info.hits, info.misses, info.maxsize) == (10000, 20000, 4096)
+
+    @pytest.mark.parametrize("a, b, c, d", [
+        (F(1), F(1), F(1), F(2)), (F(1), F(1), F(2), F(1)),
+        (F(2, 3), F(3, 2), F(3, 2), F(2, 3)), (F(1, 3), F(5, 7), F(1, 3), F(5, 11)),
+        (F(5, 7), F(1, 3), F(5, 11), F(1, 3))])
+    def test_key_tells_every_scale_integer_apart(self, a, b, c, d):
+        _cached_pair.cache_clear()
+        for n in (1, 2, 9):
+            for schedule in (Schedule(a, b), Schedule(c, d)):
+                pair = schedule.pair_at(n)
+                assert pair == AlphaBetaPair(schedule.alpha_at(n), schedule.beta_at(n))
+                assert pair.alpha.base == schedule.alpha_sq_sq(n)
+                assert pair.beta.base == schedule.beta_sq(n)
+
+    def test_thresholds_outside_pair_at_bypass_the_cache(self):
+        s = Schedule(F(2, 5), F(7, 3))
+        _cached_pair.cache_clear()
+        for n in (1, 3, 10 ** 6):
+            s.alpha_at(n), s.beta_at(n), s.alpha_sq_sq(n), s.beta_sq(n)
+        info = _cached_pair.cache_info()
+        assert (info.hits, info.misses) == (0, 0)
+
+    def test_stored_key_leaves_dataclass_behaviour_alone(self):
+        """The scale integers ride in a field that is not an init argument
+        and takes no part in ==, hash or repr."""
+        fields = {f.name: f for f in dataclasses.fields(Schedule)}
+        assert [name for name, f in fields.items()
+                if f.init or f.compare or f.repr or f.hash] == ["alpha_scale",
+                                                                 "beta_scale"]
+        s = Schedule(F(1, 3), 2)
+        assert repr(s) == "Schedule(alpha_scale=Fraction(1, 3), beta_scale=Fraction(2, 1))"
+        assert hash(s) == hash((F(1, 3), F(2)))
+        assert s == Schedule(F(2, 6), F(4, 2)) and s != Schedule(F(1, 3), 3)
+        assert Schedule() == Schedule(F(3, 3), F(2, 2)) == DEFAULT_SCHEDULE
+        assert hash(Schedule()) == hash(Schedule(F(3, 3), F(2, 2)))
+        assert s.to_json() == {"alpha_scale": "1/3", "beta_scale": "2/1", "degree": 4}
+        moved = dataclasses.replace(s, beta_scale=F(5))
+        assert moved.beta_sq(1) == 50 and moved.pair_at(1).beta.base == 50
 
 
 class TestPinnedThresholds:

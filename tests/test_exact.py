@@ -21,6 +21,7 @@ from erdos_clopen.exact import (
     floor_root,
     format_rational,
     is_rational_power,
+    is_rational_square,
     largest_rational_at_most,
     parse_rational,
     rational_in_interval,
@@ -114,6 +115,40 @@ class TestRootValue:
     def test_json_round_trip(self):
         r = root(F(2, 3), 4)
         assert RootValue.from_json(r.to_json()) == r
+
+
+def near_squares():
+    """p^2/q^2 with p^2 and q^2 each nudged by -1, 0 or +1 (among them 0),
+    and 60-digit numerators and denominators, with either sign."""
+    sixty = st.integers(min_value=0, max_value=10 ** 60)
+    nudged = st.builds(lambda p, q, dp, dq: (p * p + dp, q * q + dq),
+                       st.one_of(st.integers(0, 10 ** 6), st.integers(0, 10 ** 30)),
+                       st.one_of(st.integers(1, 10 ** 6), st.integers(1, 10 ** 30)),
+                       st.sampled_from([-1, 0, 0, 1]), st.sampled_from([-1, 0, 0, 1]))
+    pairs = st.one_of(nudged, st.tuples(sixty, sixty),
+                      st.builds(lambda p, q: (p * p, q * q), sixty, sixty))
+    return st.builds(lambda pq, sign: sign * F(pq[0], pq[1]),
+                     pairs.filter(lambda pq: pq[1] > 0), st.sampled_from([1, -1]))
+
+
+class TestIsRationalSquare:
+    @given(near_squares())
+    @settings(max_examples=600)
+    def test_matches_rational_power_and_root_value(self, value):
+        expected = is_rational_power(value, 2) is not None
+        assert is_rational_square(value) is expected
+        for degree in (2, 4):
+            if value > 0 and not expected:
+                assert RootValue(value, degree).base == value
+            else:
+                with pytest.raises(InvalidRootError):
+                    RootValue(value, degree)
+
+    def test_edges(self):
+        for value in (F(0), F(-1), F(-4, 9), F(2), F(1, 2), F(3, 4), F(4, 3), F(8, 9)):
+            assert not is_rational_square(value)
+        for value in (F(1), F(4, 9), F(1, 4), F(10 ** 60), F(1, 10 ** 60)):
+            assert is_rational_square(value)
 
 
 class TestCmpRationalVsRoot:

@@ -45,6 +45,14 @@ class TestSplitMix:
         assert set(draws) <= set(range(7))
         assert len(set(draws)) == 7
 
+    def test_below_accepts_exactly_one_to_two_to_the_64(self):
+        rng = SplitMix64(5)
+        for n in (0, -1, 2 ** 64 + 1, 2 ** 70):
+            with pytest.raises(ValueError):
+                rng.below(n)
+        assert SplitMix64(5).below(2 ** 64) == SplitMix64(5).next_u64()
+        assert rng.below(1) == 0
+
     def test_derive_seed_separates_streams(self):
         assert derive_seed(1, 2, 3) != derive_seed(1, 3, 2)
         assert derive_seed(5) == derive_seed(5)
@@ -59,6 +67,23 @@ class TestSampleConfig:
         with pytest.raises(InvalidParamsError):
             SampleConfig(count=-1)
         SampleConfig(max_support=0)  # allowed: forces the zero point
+
+    @pytest.mark.parametrize("caps", [
+        {"max_index": 2 ** 64 + 1}, {"max_numerator": 2 ** 64 + 1},
+        {"max_denominator": 2 ** 64 + 1},
+        {"max_support": 2 ** 64, "max_index": 2 ** 64}])
+    def test_caps_past_two_to_the_64_are_rejected(self, caps):
+        with pytest.raises(InvalidParamsError):
+            SampleConfig(**caps)
+
+    @pytest.mark.parametrize("caps", [
+        {"max_index": 2 ** 64, "max_numerator": 2 ** 64, "max_denominator": 2 ** 64},
+        {"max_support": 2 ** 64}])
+    def test_caps_of_two_to_the_64_sample(self, caps):
+        config = SampleConfig(count=20, **caps)
+        for draw in range(20):
+            x = sample_point(config, draw)
+            assert all(1 <= index <= config.max_index for index in x.support)
 
 
 class TestSamplePoint:
