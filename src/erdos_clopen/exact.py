@@ -11,16 +11,17 @@ capped denominator (certified radius bounds) and the simplest one inside
 an interval (the witness rational q).
 
 A positive rational s compares to base^(1/d) exactly as s^d compares to
-base. Any other value is brought to one canonical form (rationally
-dependent root terms merged; radicals in distinct classes are linearly
-independent over the rationals, so the zero test is exact) with one
-integer enclosure lo/den < value < hi/den, whose root bounds come from
-integer square roots and which `_Value.settle` refines by doubling its
-precision until a decision holds at both ends. The two choices are
-made by integer continued fractions on the ends of that enclosure: a
-Stern-Brocot walk whose steps are quotients of integers, and the
-simplest-rational recursion over partial quotients. No floating point is
-involved anywhere.
+base. Any other operand is put in canonical form once, by `_Value.of`
+(integer radicands, rationally dependent root terms merged; radicals in
+distinct classes are linearly independent over the rationals, so the zero
+test is exact), and an order decision is the sign of one difference of
+two canonical forms. Each value has one integer enclosure lo/den < value
+< hi/den, whose root bounds come from integer square roots and which
+`_Value.settle` refines by doubling its precision until a decision holds
+at both ends. The two choices are made by integer continued fractions on
+the ends of that enclosure: a Stern-Brocot walk whose steps are quotients
+of integers, and the simplest-rational recursion over partial quotients.
+No floating point is involved anywhere.
 
 `Fraction` is the rational type of the public API; it already maintains
 the canonical form (positive denominator, gcd 1).
@@ -92,23 +93,13 @@ def floor_root(value: Union[Fraction, int], degree: int) -> int:
     return isqrt(r) if degree == 4 else r
 
 
-def _iroot_exact(n: int, degree: int) -> Optional[int]:
-    """Return r with r**degree == n for n >= 0, else None."""
-    r = floor_root(n, degree)
-    return r if r ** degree == n else None
-
-
 def is_rational_power(value: Fraction, degree: int) -> Optional[Fraction]:
     """Return positive rational r with r**degree == value, if one exists."""
-    if value.numerator <= 0:
+    p, q = value.numerator, value.denominator
+    if p <= 0:
         return None
-    pn = _iroot_exact(value.numerator, degree)
-    if pn is None:
-        return None
-    pd = _iroot_exact(value.denominator, degree)
-    if pd is None:
-        return None
-    return Fraction(pn, pd)
+    rp, rq = floor_root(p, degree), floor_root(q, degree)
+    return Fraction(rp, rq) if rp ** degree == p and rq ** degree == q else None
 
 
 def is_rational_square(value: Fraction) -> bool:
@@ -278,15 +269,6 @@ class RootExpr:
             ]
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "RootExpr":
-        terms = []
-        for item in data["terms"]:
-            coef = parse_rational(item["coef"])
-            root = RootValue.from_json(item["root"]) if "root" in item else None
-            terms.append((coef, root))
-        return cls(terms)
-
 
 @lru_cache(maxsize=65536)
 def _root_enclosure(n: int, degree: int, bits: int) -> int:
@@ -299,24 +281,14 @@ def _root_enclosure(n: int, degree: int, bits: int) -> int:
     return floor_root(n << degree * bits, degree)
 
 
-def _canonical_root_term(coef: Fraction, root: RootValue) -> tuple[Fraction, int, int]:
-    """Rewrite coef*(p/q)^(1/d) as coef'*N^(1/d) with N a positive integer.
-
-    (p/q)^(1/d) = (p*q^(d-1))^(1/d) / q.
-    """
-    p, q = root.base.numerator, root.base.denominator
-    n = p * q ** (root.degree - 1)
-    return coef / q, n, root.degree
-
-
 class _Value:
-    """Canonical form of a RootExpr value with lazy certified enclosure.
+    """Canonical form of a value with lazy certified enclosure.
 
-    After construction, `rational` holds the plain part and `roots` holds
-    (coef, n, degree) triples over distinct irrationality classes: any two
-    root terms whose ratio is rational have been merged, so the whole value
-    is zero only when every component is zero. Every decision about the
-    value is read off one cached integer enclosure, refined on demand by
+    `rational` holds the plain part and `roots` holds (coef, n, degree)
+    triples, n a positive integer, over distinct irrationality classes: any
+    two root terms whose ratio is rational have been merged, so the whole
+    value is zero only when every component is zero. Every decision about
+    the value is read off one cached integer enclosure, refined on demand by
     `settle`.
     """
 
@@ -325,19 +297,31 @@ class _Value:
     _START_BITS = 64
     _MAX_BITS = 1 << 22  # separation guard; unreachable for nonzero values
 
-    def __init__(self, expr: RootExpr):
-        rational = Fraction(0)
-        roots: list[tuple[Fraction, int, int]] = []
-        for coef, root in expr.terms:
-            if root is None:
-                rational += coef
-                continue
-            coef2, n, degree = _canonical_root_term(coef, root)
-            roots.append((coef2, n, degree))
+    def __init__(self, rational: Fraction, roots: tuple[tuple[Fraction, int, int], ...]):
         self.rational = rational
-        self.roots = _merge_dependent(roots)
+        self.roots = roots
         self._bits = 0
         self._enclosure: Optional[tuple[int, int, int]] = None
+
+    @classmethod
+    def of(cls, value: ExprLike) -> "_Value":
+        """The canonical form of value: coef*(p/q)^(1/d) is rewritten as
+        (coef/q)*(p*q^(d-1))^(1/d), then dependent terms are merged."""
+        rational = Fraction(0)
+        roots = []
+        for coef, root in RootExpr.coerce(value).terms:
+            if root is None:
+                rational += coef
+            else:
+                p, q = root.base.numerator, root.base.denominator
+                roots.append((coef / q, p * q ** (root.degree - 1), root.degree))
+        return cls(rational, _merge_dependent(roots))
+
+    def __sub__(self, other: "_Value") -> "_Value":
+        """self - other; the classes of both sides merge again, because one
+        class can have two radicands (sqrt(8) and 2*sqrt(2))."""
+        return _Value(self.rational - other.rational, _merge_dependent(
+            [*self.roots, *((-coef, n, degree) for coef, n, degree in other.roots)]))
 
     def enclosure(self, bits: int) -> tuple[int, int, int]:
         """Integers (lo, hi, den) with lo/den < value < hi/den, the width
@@ -387,9 +371,8 @@ class _Value:
                              self)
 
 
-def _merge_dependent(
-    roots: list[tuple[Fraction, int, int]],
-) -> tuple[tuple[Fraction, int, int], ...]:
+def _merge_dependent(roots: list[tuple[Fraction, int, int]],
+                     ) -> tuple[tuple[Fraction, int, int], ...]:
     """Merge root terms whose ratio is rational; drop zero coefficients.
 
     Two terms c1*n1^(1/d) and c2*n2^(1/d) of the same degree collapse when
@@ -416,38 +399,33 @@ def _merge_dependent(
     return tuple((c, n, d) for c, n, d in merged if c != 0)
 
 
-_ORDER_FROM_SIGN = {-1: Ordering.LESS, 0: Ordering.EQUAL, 1: Ordering.GREATER}
-
-
-def _validate_two_term(expr: RootExpr, side: str) -> None:
-    if len(expr.terms) > 2:
-        raise UnsupportedFormError(
-            f"{side} has {len(expr.terms)} terms; at most two are supported"
-        )
-
-
 def cmp_root_expr(lhs: ExprLike, rhs: ExprLike) -> Ordering:
     """Exact ordering of two signed sums of at most two terms each.
 
     Returns EQUAL precisely when the two expressions denote the same real
     number. Raises UnsupportedFormError beyond the two-term fragment.
     """
-    lhs = RootExpr.coerce(lhs)
-    rhs = RootExpr.coerce(rhs)
-    _validate_two_term(lhs, "lhs")
-    _validate_two_term(rhs, "rhs")
-    return _ORDER_FROM_SIGN[_Value(lhs - rhs).sign()]
+    values = []
+    for side, expr in (("lhs", RootExpr.coerce(lhs)), ("rhs", RootExpr.coerce(rhs))):
+        if len(expr.terms) > 2:
+            raise UnsupportedFormError(
+                f"{side} has {len(expr.terms)} terms; at most two are supported")
+        values.append(_Value.of(expr))
+    return Ordering((values[0] - values[1]).sign())
 
 
 def expr_min(*exprs: ExprLike) -> RootExpr:
-    """The minimum of the given expressions, decided exactly."""
+    """The minimum of the given expressions, decided exactly; the first of
+    any equal minima."""
     if not exprs:
         raise ValueError("expr_min needs at least one expression")
     best = RootExpr.coerce(exprs[0])
+    best_value = _Value.of(best)
     for candidate in exprs[1:]:
         candidate = RootExpr.coerce(candidate)
-        if _Value(candidate - best).sign() < 0:
-            best = candidate
+        value = _Value.of(candidate)
+        if (value - best_value).sign() < 0:
+            best, best_value = candidate, value
     return best
 
 
@@ -490,17 +468,17 @@ def rational_in_interval(lo: ExprLike, hi: ExprLike) -> Fraction:
     agree, that rational is the answer. Raises EmptyIntervalError when
     lo >= hi.
     """
-    lo_expr = RootExpr.coerce(lo)
-    hi_expr = RootExpr.coerce(hi)
-    if _Value(lo_expr - hi_expr).sign() >= 0:
-        raise EmptyIntervalError(f"empty interval: lo {lo_expr!r} >= hi {hi_expr!r}")
+    lo_value, hi_value = _Value.of(lo), _Value.of(hi)
+    if (lo_value - hi_value).sign() >= 0:
+        raise EmptyIntervalError(
+            f"empty interval: lo {RootExpr.coerce(lo)!r} >= hi {RootExpr.coerce(hi)!r}")
 
     def choose(lo_lo: int, lo_hi: int, lo_den: int,
                hi_lo: int, hi_hi: int, hi_den: int) -> Optional[Fraction]:
         inner = _simplest_between(lo_hi, lo_den, hi_lo, hi_den)
         return inner if inner == _simplest_between(lo_lo, lo_den, hi_hi, hi_den) else None
 
-    return _Value.settle(choose, _Value(lo_expr), _Value(hi_expr))
+    return _Value.settle(choose, lo_value, hi_value)
 
 
 def _floor_approx(p: int, q: int, cap: int) -> tuple[int, int]:
@@ -541,7 +519,7 @@ def largest_rational_at_most(value: ExprLike, den_cap: int) -> Fraction:
     """
     if den_cap < 1:
         raise ValueError(f"den_cap must be >= 1, got {den_cap}")
-    val = _Value(RootExpr.coerce(value))
+    val = _Value.of(value)
     if val.sign() <= 0:
         raise ValueError("largest_rational_at_most expects a positive value")
 

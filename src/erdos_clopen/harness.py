@@ -176,9 +176,6 @@ def perturb_within(base: Point, bound: Fraction, rng: SplitMix64,
     return _add_ints(base, support, [n * p for n in nums], 2 * root_ceil * q * den)
 
 
-CLAIM_IDS = ("C1", "C2", "C3", "C4", "C5", "Remark")
-
-
 @dataclass
 class ClaimReport:
     """Outcome of one claim's sampled verification; empty violations = pass."""
@@ -216,6 +213,18 @@ def _violation(draw: int, point: Optional[Point], detail: str, **extra) -> dict:
     return record
 
 
+def _check_perturbations(report: ClaimReport, draw: int, x: Point, cert, salt: int,
+                         config: SampleConfig, escaped, detail: str, **extra) -> None:
+    """Record a violation for each of count_inner perturbations of x within
+    the certified bound for which escaped(perturbed point) holds."""
+    for inner in range(config.count_inner):
+        rng = SplitMix64(derive_seed(config.seed, draw, inner, salt))
+        y = perturb_within(x, cert.bound, rng, config)
+        if escaped(y):
+            report.violations.append(_violation(
+                draw, x, detail, certificate=cert.to_json(), perturbed=y, **extra))
+
+
 def _verify_c1(pair: AlphaBetaPair, config: SampleConfig) -> ClaimReport:
     """Sampled points with norm below alpha must land in A."""
     report = ClaimReport("C1", config.count, 0)
@@ -240,18 +249,8 @@ def _verify_c2(pair: AlphaBetaPair, config: SampleConfig) -> ClaimReport:
         if in_A(z, pair):
             continue
         report.eligible += 1
-        cert = closedness_radius(z, pair)
-        if cert.bound <= 0:
-            report.violations.append(
-                _violation(draw, z, "non-positive bound", certificate=cert.to_json()))
-            continue
-        for inner in range(config.count_inner):
-            rng = SplitMix64(derive_seed(config.seed, draw, inner, 2))
-            y = perturb_within(z, cert.bound, rng, config)
-            if in_A(y, pair):
-                report.violations.append(_violation(
-                    draw, z, "in-radius perturbation entered A",
-                    certificate=cert.to_json(), perturbed=y))
+        _check_perturbations(report, draw, z, closedness_radius(z, pair), 2, config,
+                             lambda y: in_A(y, pair), "in-radius perturbation entered A")
     return report
 
 
@@ -264,18 +263,8 @@ def _verify_c3(pair: AlphaBetaPair, config: SampleConfig) -> ClaimReport:
         if not in_A(x, pair):
             continue
         report.eligible += 1
-        cert = openness_radius(x, pair)
-        if cert.bound <= 0:
-            report.violations.append(
-                _violation(draw, x, "non-positive bound", certificate=cert.to_json()))
-            continue
-        for inner in range(config.count_inner):
-            rng = SplitMix64(derive_seed(config.seed, draw, inner, 3))
-            y = perturb_within(x, cert.bound, rng, config)
-            if not in_A(y, pair):
-                report.violations.append(_violation(
-                    draw, x, "in-radius perturbation escaped A",
-                    certificate=cert.to_json(), perturbed=y))
+        _check_perturbations(report, draw, x, openness_radius(x, pair), 3, config,
+                             lambda y: not in_A(y, pair), "in-radius perturbation escaped A")
     return report
 
 
@@ -298,23 +287,13 @@ def _verify_c4(schedule: Schedule, config: SampleConfig) -> ClaimReport:
                 draw, x, "finite check changed when extended by 10 indices"))
             continue
         if member:
-            cert = o_openness_radius(x, schedule)
-            for inner in range(config.count_inner):
-                rng = SplitMix64(derive_seed(config.seed, draw, inner, 4))
-                y = perturb_within(x, cert.bound, rng, config)
-                if not in_O(y, schedule):
-                    report.violations.append(_violation(
-                        draw, x, "in-radius perturbation escaped O",
-                        certificate=cert.to_json(), perturbed=y))
+            _check_perturbations(report, draw, x, o_openness_radius(x, schedule), 4, config,
+                                 lambda y: not in_O(y, schedule),
+                                 "in-radius perturbation escaped O")
         else:
-            cert = closedness_radius(x, schedule.pair_at(n_bad))
-            for inner in range(config.count_inner):
-                rng = SplitMix64(derive_seed(config.seed, draw, inner, 4))
-                y = perturb_within(x, cert.bound, rng, config)
-                if in_O(y, schedule):
-                    report.violations.append(_violation(
-                        draw, x, "in-radius perturbation entered O",
-                        certificate=cert.to_json(), perturbed=y, failing_n=n_bad))
+            _check_perturbations(report, draw, x, closedness_radius(x, schedule.pair_at(n_bad)),
+                                 4, config, lambda y: in_O(y, schedule),
+                                 "in-radius perturbation entered O", failing_n=n_bad)
     return report
 
 
@@ -376,22 +355,24 @@ def _verify_remark(schedule: Schedule, config: SampleConfig) -> ClaimReport:
     return report
 
 
+#: claim id -> (runner, the type of its params), in report order
+_RUNNERS = {"C1": (_verify_c1, AlphaBetaPair), "C2": (_verify_c2, AlphaBetaPair),
+            "C3": (_verify_c3, AlphaBetaPair), "C4": (_verify_c4, Schedule),
+            "C5": (_verify_c5, Schedule), "Remark": (_verify_remark, Schedule)}
+CLAIM_IDS = tuple(_RUNNERS)
+_NEEDS = {AlphaBetaPair: "an AlphaBetaPair", Schedule: "a Schedule"}
+
+
 def verify_claim(claim: str, params, config: SampleConfig) -> ClaimReport:
     """Run one claim's sampled invariant; params is an AlphaBetaPair for
     C1-C3 and a Schedule for C4, C5, and Remark."""
     started = time.monotonic()
-    if claim in ("C1", "C2", "C3"):
-        if not isinstance(params, AlphaBetaPair):
-            raise InvalidParamsError(f"{claim} needs an AlphaBetaPair")
-        runner = {"C1": _verify_c1, "C2": _verify_c2, "C3": _verify_c3}[claim]
-        report = runner(params, config)
-    elif claim in ("C4", "C5", "Remark"):
-        if not isinstance(params, Schedule):
-            raise InvalidParamsError(f"{claim} needs a Schedule")
-        runner = {"C4": _verify_c4, "C5": _verify_c5, "Remark": _verify_remark}[claim]
-        report = runner(params, config)
-    else:
+    if claim not in _RUNNERS:
         raise InvalidParamsError(f"unknown claim {claim!r}")
+    runner, params_type = _RUNNERS[claim]
+    if not isinstance(params, params_type):
+        raise InvalidParamsError(f"{claim} needs {_NEEDS[params_type]}")
+    report = runner(params, config)
     report.elapsed_ms = int((time.monotonic() - started) * 1000)
     report.config = {"sample": config.to_json(), "params": params.to_json()}
     return report
@@ -404,8 +385,6 @@ def run_suite(schedule: Schedule, config: SampleConfig,
     pair = schedule.pair_at(1)
     reports = []
     for claim in claims:
-        if claim not in CLAIM_IDS:
-            raise InvalidParamsError(f"unknown claim {claim!r}")
         params = pair if claim in ("C1", "C2", "C3") else schedule
         reports.append(verify_claim(claim, params, config))
     return reports

@@ -19,6 +19,7 @@ from erdos_clopen.clopen import (
     AlphaBetaPair,
     CertificateKind,
     PreconditionViolatedError,
+    RadiusCertificate,
     Schedule,
     _cached_pair,
     closedness_radius,
@@ -402,6 +403,38 @@ class TestPinnedCertificateBounds:
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == (
             "b684c0c46ed9160dea1cd53b71b29f32439d700385450eefd2970b75c84df046")
+
+    def test_certificate_json_on_sampled_points(self):
+        """sha256 of every certificate's JSON, components included, on the
+        same 300 seed-42 points: the bound and the expressions `expr_min`
+        picks for h, prefix_margin and ball_margin. Recorded once, pinned."""
+        config = SampleConfig(seed=42, count=300)
+        third = Schedule(F(1, 3), F(2))
+        lines = []
+        made = {"open": 0, "closed": 0, DEFAULT_SCHEDULE: 0, third: 0}
+        for draw in range(config.count):
+            x = sample_point(config, draw)
+            side = "open" if in_A(x, DEFAULT_PAIR) else "closed"
+            radius = openness_radius if side == "open" else closedness_radius
+            certs = [radius(x, DEFAULT_PAIR)]
+            made[side] += 1
+            for schedule in (DEFAULT_SCHEDULE, third):
+                if in_O(x, schedule):
+                    certs.append(o_openness_radius(x, schedule))
+                    made[schedule] += 1
+            lines.append(f"{draw} " + " ".join(
+                json.dumps(cert.to_json(), separators=(",", ":")) for cert in certs))
+        assert min(made.values()) > 0
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == (
+            "6504b41e86a27155ef50e78e863f5ede945a7630c059e1dcf581e108bb2b27af")
+
+
+class TestRadiusCertificate:
+    @pytest.mark.parametrize("bound", [F(0), F(-1, 3)])
+    def test_rejects_non_positive_bounds(self, bound):
+        with pytest.raises(ValueError, match="must be positive"):
+            RadiusCertificate(CertificateKind.CLAIM2_R0, bound, {})
 
 
 class TestCertificateNeighborhoods:

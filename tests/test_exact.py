@@ -18,6 +18,7 @@ from erdos_clopen.exact import (
     UnsupportedFormError,
     cmp_rational_vs_root,
     cmp_root_expr,
+    expr_min,
     floor_root,
     format_rational,
     is_rational_power,
@@ -235,6 +236,62 @@ class TestCmpRootExpr:
             assert expected is None
         else:
             assert expected == ("lt" if got == Ordering.LESS else "gt")
+
+
+ROOT_TERMS = st.tuples(st.sampled_from([F(-2), F(-1, 2), F(1, 3), F(1), F(3, 2)]),
+                       st.sampled_from([(2, 2), (8, 2), (18, 2), (2, 4), (32, 4)]))
+
+
+def candidate_expr(plain: F, terms) -> RootExpr:
+    return RootExpr([(plain, None)] + [(coef, root(base, degree))
+                                       for coef, (base, degree) in terms])
+
+
+# at most two terms each, over dependent roots (sqrt(8) = 2*sqrt(2),
+# 32^(1/4) = 2*2^(1/4)), so equal values written differently come up often
+candidate_exprs = (
+    st.builds(candidate_expr, st.sampled_from([F(0), F(1), F(-1, 2)]),
+              st.lists(ROOT_TERMS, max_size=1))
+    | st.builds(candidate_expr, st.just(F(0)), st.lists(ROOT_TERMS, min_size=2, max_size=2))
+)
+
+
+class TestExprMin:
+    def test_first_of_equal_minima_is_returned(self):
+        sqrt8 = RootExpr.of_root(F(1), root(8, 2))
+        two_sqrt2 = RootExpr.of_root(F(2), root(2, 2))
+        assert expr_min(sqrt8, two_sqrt2) is sqrt8
+        assert expr_min(two_sqrt2, sqrt8) is two_sqrt2
+        assert expr_min(rat(3), two_sqrt2, sqrt8) is two_sqrt2
+
+    def test_three_or_more_candidates(self):
+        sqrt2 = RootExpr.of_root(F(1), root(2, 2))              # 1.414...
+        fourth2 = RootExpr.of_root(F(1), root(2, 4))            # 1.189...
+        gap = rat(2) - RootExpr.of_root(F(1), root(3, 2))       # 0.267...
+        half = rat(F(1, 2))
+        assert expr_min(sqrt2, fourth2, half) is half
+        assert expr_min(sqrt2, fourth2, half, gap) is gap
+        assert expr_min(sqrt2, gap, half, fourth2) is gap
+        assert expr_min(sqrt2, fourth2, rat(F(6, 5))) is fourth2
+
+    def test_fraction_int_and_root_value_inputs(self):
+        assert expr_min(F(3, 2), root(2, 2)) == RootExpr.of_root(F(1), root(2, 2))
+        assert expr_min(root(2, 2), F(1)) == rat(1)
+        assert expr_min(2, root(2, 4), F(5, 4)) == RootExpr.of_root(F(1), root(2, 4))
+        assert expr_min(F(7, 3)) == rat(F(7, 3))
+        with pytest.raises(ValueError):
+            expr_min()
+
+    @given(st.lists(candidate_exprs, min_size=1, max_size=5))
+    @settings(max_examples=200)
+    def test_agrees_with_pairwise_comparison(self, candidates):
+        best = expr_min(*candidates)
+        is_best = [candidate is best for candidate in candidates]
+        assert True in is_best
+        first = is_best.index(True)
+        for i, candidate in enumerate(candidates):
+            order = cmp_root_expr(candidate, best)
+            assert order == Ordering.GREATER if i < first else order != Ordering.LESS
 
 
 class TestComparisonStress:

@@ -311,6 +311,40 @@ class TestVerifyClaim:
             assert report.passed and report.samples_run == 0
 
 
+class TestPinnedViolationRecords:
+    def test_flipped_perturbations_give_pinned_records(self, monkeypatch):
+        """Flip the membership of every perturbed point, and only of those,
+        so each C2-C4 perturbation is recorded as a violation; sha256 of the
+        three reports, recorded once and pinned."""
+        from erdos_clopen import harness
+
+        perturbed = {}  # id -> point; holding the points keeps their ids unused
+        original_perturb = harness.perturb_within
+
+        def remembering_perturb(*args):
+            y = original_perturb(*args)
+            perturbed[id(y)] = y
+            return y
+
+        def flipped(test):
+            def membership(x, params):
+                member = test(x, params)
+                return not member if perturbed.get(id(x)) is x else member
+            return membership
+
+        monkeypatch.setattr(harness, "perturb_within", remembering_perturb)
+        monkeypatch.setattr(harness, "in_A", flipped(harness.in_A))
+        monkeypatch.setattr(harness, "in_O", flipped(harness.in_O))
+        config = SampleConfig(seed=42, count=80, count_inner=3)
+        reports = [verify_claim("C2", DEFAULT_PAIR, config),
+                   verify_claim("C3", DEFAULT_PAIR, config),
+                   verify_claim("C4", DEFAULT_SCHEDULE, config)]
+        assert [len(r.violations) for r in reports] == [132, 108, 240]
+        text = "\n".join(json.dumps(r.to_json(), sort_keys=True) for r in reports)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "88cbb489bc7383169931ca1e906e316561d0e6e14937883e3ee9d2b436a6a6de")
+
+
 class TestRunSuite:
     def test_reports_in_claim_order_and_deterministic(self):
         config = SampleConfig(seed=24, count=60)
