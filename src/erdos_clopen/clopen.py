@@ -17,9 +17,11 @@ scale.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 from typing import Optional
 
 from .exact import (
@@ -32,7 +34,7 @@ from .exact import (
     largest_rational_at_most,
     parse_rational,
 )
-from .space import Point, m_index
+from .space import Point, _m_position, m_index
 
 DEFAULT_DEN_CAP = 10 ** 6
 
@@ -259,18 +261,27 @@ def in_A(x: Point, pair: AlphaBetaPair) -> bool:
 def first_violating_index(x: Point, pair: AlphaBetaPair) -> Optional[int]:
     """Least support index past m with |x_l| >= beta; None if x is in A.
 
-    Runs on the point's integer internals: |x_l| < beta iff
-    x_l_num^2 * beta_den < beta_num * D^2.
+    m's position in the support is one bisection (`space._m_position`),
+    and the coordinates after it are tested by `_violation_past`.
     """
-    m = m_index(x, pair.alpha)
-    if m is None:
+    return _violation_past(x, pair, _m_position(x, pair.alpha))
+
+
+def _violation_past(x: Point, pair: AlphaBetaPair, pos: int) -> Optional[int]:
+    """Least support index after position pos with |x_l| >= beta, if any.
+
+    With beta^2 = bn/bd and x_l = num/D, |x_l| >= beta iff num^2 * bd >
+    bn * D^2 (equality is impossible: beta is irrational) iff |num| >
+    isqrt(bn * D^2 // bd): one integer root, then one comparison per entry.
+    """
+    nums = x._nums
+    if pos + 1 >= len(nums):
         return None
     beta_sq = pair.beta_sq
-    bn, bd = beta_sq.numerator, beta_sq.denominator
-    target = bn * x._den_sq
-    for index, n in zip(x.support, x._nums):
-        if index > m and n * n * bd > target:
-            return index
+    bound = isqrt(beta_sq.numerator * x._den_sq // beta_sq.denominator)
+    for k in range(pos + 1, len(nums)):
+        if abs(nums[k]) > bound:
+            return x.support[k]
     return None
 
 
@@ -302,10 +313,11 @@ def closedness_radius(z: Point, pair: AlphaBetaPair,
     |z_l0| > beta is automatic: the coordinate is rational, beta is not).
     The radius is min(|z_l0| - beta, prefix-norm margin over alpha).
     """
-    m = m_index(z, pair.alpha)
-    l0 = first_violating_index(z, pair)
-    if m is None or l0 is None:
+    pos = _m_position(z, pair.alpha)
+    l0 = _violation_past(z, pair, pos)
+    if l0 is None:
         raise PreconditionViolatedError("point is inside A; no closedness radius")
+    m = z.support[pos]
     coord_margin = RootExpr.of_rational(abs(z.coordinate(l0))) - pair.beta_expr()
     prefix_margin = sqrt_expr(z.prefix_norm_sq(m)) - pair.alpha_expr()
     radius = expr_min(coord_margin, prefix_margin)
@@ -334,8 +346,8 @@ def openness_radius(x: Point, pair: AlphaBetaPair,
     coordinates up to l0 to beta, and a the previous-prefix margin (the
     sentinel 1 when m = 1, kept verbatim for traceability).
     """
-    m = m_index(x, pair.alpha)
-    if m is None:
+    pos = _m_position(x, pair.alpha)
+    if pos == len(x.support):
         norm_expr = sqrt_expr(x.norm_sq())
         margin = pair.alpha_expr() - norm_expr
         return RadiusCertificate(
@@ -343,15 +355,19 @@ def openness_radius(x: Point, pair: AlphaBetaPair,
             bound=largest_rational_at_most(margin, den_cap),
             components={"ball_margin": margin},
         )
-    if first_violating_index(x, pair) is not None:
+    if _violation_past(x, pair, pos) is not None:
         raise PreconditionViolatedError("point is outside A; no openness radius")
+    m = x.support[pos]
 
     beta_sq = pair.beta_sq
     # the tail sum from l only changes just past a support index (and is 0
-    # past the last one), so l0 is 1 or one past some support index
-    quarter_beta_sq = beta_sq / 4
-    l0 = next(index + 1 for index in (0,) + x.support
-              if x.tail_norm_sq(index + 1) < quarter_beta_sq)
+    # past the last one), so l0 is 1 or one past some support index. Past
+    # position k the tail is (total - P_k) / D^2, below beta^2/4 = bn/(4bd)
+    # iff 4*bd*(total - P_k) < bn*D^2 iff P_k > total - ceil(bn*D^2/(4*bd)),
+    # and the prefix sums P_k strictly increase: one bisection.
+    prefix = x._prefix_sq
+    threshold = prefix[-1] + (-beta_sq.numerator * x._den_sq // (4 * beta_sq.denominator))
+    l0 = 1 if threshold < 0 else x.support[bisect_right(prefix, threshold)] + 1
 
     beta_half = RootExpr.of_root(Fraction(1, 2), pair.beta)
 

@@ -61,17 +61,18 @@ class EmptyIntervalError(ExactError):
     """Interval endpoints with lo >= hi."""
 
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+# [0-9], not \d: \d and int() also take other scripts' digits
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse exact "p/q" (or plain integer "p") syntax; no decimals.
+    """Parse exact "p/q" (or plain integer "p") syntax in ASCII digits; no
+    decimals, spaces or digit separators.
 
     Raises ValueError on anything else, including a zero denominator.
     """
-    if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
+    if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"invalid rational: {text!r} (expected p/q syntax)")
-    text = text.strip()
     if "/" in text:
         num, den = text.split("/")
         if int(den) == 0:

@@ -12,9 +12,12 @@ gcd(D, numerators) = 1, so coordinate k is nums[k] / D. Equality and
 hashing compare that triple. Every constructor goes through
 `Point._canonicalise`, which drops zeros, divides out the gcd and builds
 the integer prefix sums of squared numerators that the membership
-predicates (which run in tight sampling loops) compare instead of
+predicates (which run in tight sampling loops) search instead of
 allocating Fractions. `entries` derives the `(index, Fraction)` pairs on
 request.
+
+The prefix sums strictly increase, so the first-exceedance index for alpha
+is one integer root and one bisection on them (`_m_position`).
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .exact import RootValue, format_rational, parse_rational
@@ -143,6 +146,11 @@ class Point:
         coords = data.get("coords", {}) if isinstance(data, dict) else None
         if not isinstance(coords, dict):
             raise ValueError('a point must be a JSON object {"coords": {"index": "p/q", ...}}')
+        # ASCII digits only: int() also takes spaces, underscores and
+        # other scripts' digits
+        for key in coords:
+            if not (key.isascii() and key.isdigit()):
+                raise ValueError(f"invalid point index: {key!r} (expected ASCII digits)")
         return cls((int(key), parse_rational(text)) for key, text in coords.items())
 
 
@@ -192,17 +200,24 @@ def m_index(x: Point, alpha: RootValue) -> Optional[int]:
     """Least m whose prefix sum of squares exceeds alpha^2, if any.
 
     alpha must be a degree-4 root so that alpha^2 (a degree-2 root of the
-    same base) is irrational and the exceedance test has no boundary case:
-    prefix > alpha^2 iff prefix^2 > base. Partial sums only change at
-    support indices, so only those are scanned; returns None exactly when
-    norm_sq(x) < alpha^2.
+    same base) is irrational and the exceedance test has no boundary case.
+    Partial sums only change at support indices, so m is a support index,
+    found by `_m_position`; returns None exactly when norm_sq(x) < alpha^2.
+    """
+    pos = _m_position(x, alpha)
+    return x.support[pos] if pos < len(x.support) else None
+
+
+def _m_position(x: Point, alpha: RootValue) -> int:
+    """Position in x.support of the first-exceedance index for alpha, or
+    len(x.support) when there is none.
+
+    With alpha^4 = bn/bd and prefix sums P over D^2, P/D^2 > alpha^2 iff
+    P^2 * bd > bn * D^4 iff P > isqrt(bn * D^4 // bd) (P is an integer), and
+    the prefix sums strictly increase, so one bisection finds the first.
     """
     if alpha.degree != 4:
         raise ValueError(f"m_index needs a degree-4 threshold, got degree {alpha.degree}")
     base = alpha.base
-    bd = base.denominator
-    target = base.numerator * x._den_sq * x._den_sq
-    for index, p in zip(x.support, x._prefix_sq):
-        if p * p * bd > target:
-            return index
-    return None
+    d4 = x._den_sq * x._den_sq
+    return bisect_right(x._prefix_sq, isqrt(base.numerator * d4 // base.denominator))

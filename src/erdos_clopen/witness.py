@@ -183,11 +183,14 @@ def construct_witness(v: VSpec, schedule: Schedule) -> WitnessRecord:
     checks = verify_witness(x, y, z, m_star, l_star, q, r_star, schedule)
     if any(not check["holds"] for check in checks):
         raise AssertionError(f"witness construction produced a failing check: {checks}")
+    # the least schedule index whose A-set excludes z (at most m*)
+    failing_n = next(check["lhs"]["first_failing_n"] for check in checks
+                     if check["check"] == "z_outside_O")
 
     return WitnessRecord(
         x=x, y=y, z=z,
         n_star=n_star, m_star=m_star, l_star=l_star,
-        q=q, case=case, failing_n=m_star,
+        q=q, case=case, failing_n=failing_n,
         checks=tuple(checks),
     )
 

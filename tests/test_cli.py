@@ -71,6 +71,22 @@ class TestCheck:
         assert code == EXIT_INVALID
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("coords, message", [
+        ({" 1": "\u0663"}, "invalid point index"),  # int() would read {1: 3}
+        ({" 1": "3"}, "invalid point index"),       # int() strips spaces
+        ({"1_0": "3"}, "invalid point index"),      # int() reads 1_0 as 10
+        ({"1": "\u0663"}, "invalid rational"),      # Arabic-Indic digit three
+        ({"\u0661": "3"}, "invalid point index"),   # Arabic-Indic digit one
+        ({"1": " 3"}, "invalid rational"),
+        ({"1": "1_0/3"}, "invalid rational"),
+    ])
+    def test_loose_digit_syntax_exits_2(self, capsys, point_file, coords, message):
+        bad = point_file("bad.json", coords)
+        code, out, err = run_cli(capsys, "check", "--point", bad, "--set", "A")
+        assert code == EXIT_INVALID and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
     def test_square_alpha_base_rejected(self, capsys, point_file):
         p = point_file("p.json", {"1": "1/1"})
         code, _, err = run_cli(capsys, "check", "--point", p, "--set", "Ealpha",

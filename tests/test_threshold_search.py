@@ -1,0 +1,286 @@
+"""The first-exceedance position and the beta test, decided by one integer
+root and one bisection each, against the linear scans they replaced and
+against the interval oracle.
+
+The scans below are the earlier implementations, kept verbatim (on the
+point's integer internals) as independent references: one product per
+support position, no integer root, no bisection.
+"""
+
+from fractions import Fraction as F
+from math import isqrt
+
+from hypothesis import example, given, settings, strategies as st
+
+from erdos_clopen.exact import RootValue, is_rational_power
+from erdos_clopen.space import Point, m_index
+from erdos_clopen.clopen import (
+    AlphaBetaPair,
+    Schedule,
+    closedness_radius,
+    first_failing_n,
+    first_violating_index,
+    in_A,
+    openness_radius,
+)
+
+import oracle
+
+
+def scan_m_index(x: Point, alpha: RootValue):
+    base = alpha.base
+    bd = base.denominator
+    target = base.numerator * x._den_sq * x._den_sq
+    for index, p in zip(x.support, x._prefix_sq):
+        if p * p * bd > target:
+            return index
+    return None
+
+
+def scan_first_violating_index(x: Point, pair: AlphaBetaPair):
+    m = scan_m_index(x, pair.alpha)
+    if m is None:
+        return None
+    beta_sq = pair.beta_sq
+    bn, bd = beta_sq.numerator, beta_sq.denominator
+    target = bn * x._den_sq
+    for index, n in zip(x.support, x._nums):
+        if index > m and n * n * bd > target:
+            return index
+    return None
+
+
+def scan_openness_l0(x: Point, beta_sq: F) -> int:
+    quarter_beta_sq = beta_sq / 4
+    return next(index + 1 for index in (0,) + x.support
+                if x.tail_norm_sq(index + 1) < quarter_beta_sq)
+
+
+def non_square(value: F) -> bool:
+    return is_rational_power(value, 2) is None
+
+
+SCHEDULES = (Schedule(), Schedule(F(1, 3), 2), Schedule(5, F(1, 7)))
+BIG = 10 ** 30
+
+# 30-digit numerators and denominators; the value's magnitude ranges from
+# about 10^-30 to 10^30
+wide_coordinate = st.builds(F, st.integers(-BIG, BIG).filter(bool), st.integers(1, BIG))
+# 30-digit numerators and denominators, magnitude at most 1
+unit_coordinate = st.builds(lambda q, p: F(p % (2 * q + 1) - q or 1, q),
+                            st.integers(1, BIG), st.integers(0, 10 ** 31))
+
+
+def points(coordinate, max_index=120):
+    """Narrow points (empty and one-entry ones included) and wide ones,
+    with 16 to 64 entries, in equal measure."""
+    entries = st.tuples(st.integers(1, max_index), coordinate)
+    return st.one_of(
+        st.lists(entries, max_size=3, unique_by=lambda t: t[0]),
+        st.lists(entries, min_size=16, max_size=64, unique_by=lambda t: t[0]),
+    ).map(Point)
+
+
+@st.composite
+def decaying_points(draw):
+    """Points whose j-th coordinate is at most lead/j in magnitude, so the
+    schedule cutoff stays small enough for the oracle's per-n scan and
+    the first failing n varies."""
+    x = draw(points(unit_coordinate, max_index=150))
+    lead = draw(st.sampled_from((1, 3, 10, 30)))
+    return Point({i: v * lead / j for j, (i, v) in enumerate(x.entries, 1)})
+
+
+ONE_ENTRY = Point({7: F(10 ** 29 + 7, 3 * 10 ** 28 + 1)})
+
+
+@st.composite
+def point_and_bases(draw):
+    """A point and (alpha^4, beta^2) bases placed near its own prefix sums
+    and coordinates, so m and the violating index fall inside the support."""
+    x = draw(points(wide_coordinate))
+    den_sq = F(x._den_sq)
+    if x.support and draw(st.booleans()):
+        k = draw(st.integers(0, len(x.support) - 1))
+        prefix = x._prefix_sq[k] / den_sq
+        alpha4 = prefix * prefix * draw(st.fractions(F(1, 2), 2, max_denominator=1000))
+    else:
+        alpha4 = draw(st.fractions(F(1, 10 ** 6), 10 ** 6, max_denominator=10 ** 9))
+    if x.support and draw(st.booleans()):
+        k = draw(st.integers(0, len(x.support) - 1))
+        coord_sq = x._nums[k] ** 2 / den_sq
+        beta2 = coord_sq * draw(st.fractions(F(1, 2), 2, max_denominator=1000))
+    else:
+        beta2 = draw(st.fractions(F(1, 10 ** 6), 10 ** 6, max_denominator=10 ** 9))
+    # a square base is nudged off the square by one part in 10^12
+    alpha4 = alpha4 if non_square(alpha4) else alpha4 * (1 + F(1, 10 ** 12))
+    beta2 = beta2 if non_square(beta2) else beta2 * (1 + F(1, 10 ** 12))
+    return x, alpha4, beta2
+
+
+def oracle_first_failing_n(x: Point, schedule: Schedule):
+    """Least n with x outside the n-th A-set, scanning n while the norm
+    exceeds alpha_n^2, decided by the interval oracle alone."""
+    a, b = schedule.alpha_scale, schedule.beta_scale
+    norm = x.norm_sq()
+    n = 1
+    while oracle.cmp_rational_vs_root(norm, 2 * a ** 4 * n ** 4, 2) == "gt":
+        if not oracle.in_A(x.entries, 2 * a ** 4 * n ** 4, 2 * b * b / (n * n)):
+            return n
+        n += 1
+    return None
+
+
+class TestAgainstLinearScans:
+    @given(point_and_bases())
+    @example((Point(), F(2), F(1, 2)))
+    @example((ONE_ENTRY, F(10), F(1, 2)))
+    @example((ONE_ENTRY, F(1000), F(1, 2)))
+    @settings(max_examples=400, deadline=None)
+    def test_m_index_and_violating_index(self, case):
+        x, alpha4, beta2 = case
+        pair = AlphaBetaPair(RootValue(alpha4, 4), RootValue(beta2, 2))
+        assert m_index(x, pair.alpha) == scan_m_index(x, pair.alpha)
+        assert first_violating_index(x, pair) == scan_first_violating_index(x, pair)
+
+    @given(point_and_bases())
+    @settings(max_examples=200, deadline=None)
+    def test_certificate_indices(self, case):
+        x, alpha4, beta2 = case
+        pair = AlphaBetaPair(RootValue(alpha4, 4), RootValue(beta2, 2))
+        m = scan_m_index(x, pair.alpha)
+        if m is None:
+            return
+        if scan_first_violating_index(x, pair) is None:
+            components = openness_radius(x, pair).components
+            assert components["l0"] == scan_openness_l0(x, beta2)
+        else:
+            components = closedness_radius(x, pair).components
+            assert components["l0"] == scan_first_violating_index(x, pair)
+        assert components["m"] == m
+
+
+class TestAgainstOracle:
+    @given(point_and_bases())
+    @example((Point(), F(2), F(1, 2)))
+    @example((ONE_ENTRY, F(10), F(1, 2)))
+    @settings(max_examples=100, deadline=None)
+    def test_m_index_violating_index_in_A(self, case):
+        x, alpha4, beta2 = case
+        pair = AlphaBetaPair(RootValue(alpha4, 4), RootValue(beta2, 2))
+        m = m_index(x, pair.alpha)
+        assert m == oracle.m_index(x.entries, alpha4)
+        violating = first_violating_index(x, pair)
+        if m is None:
+            assert violating is None
+        else:
+            expected = next((i for i, v in x.entries if i > m and oracle.cmp_rational_vs_root(
+                abs(v), beta2, 2) == "gt"), None)
+            assert violating == expected
+        assert in_A(x, pair) == oracle.in_A(x.entries, alpha4, beta2)
+
+    @given(decaying_points(), st.sampled_from(SCHEDULES))
+    @example(Point(), SCHEDULES[0])
+    @example(Point({3: F(2 * 10 ** 29 + 1, 10 ** 29)}), SCHEDULES[1])
+    @settings(max_examples=300, deadline=None)
+    def test_first_failing_n(self, x, schedule):
+        assert first_failing_n(x, schedule) == oracle_first_failing_n(x, schedule)
+
+
+class TestExactBoundaries:
+    """Thresholds met with equality in the integers: the root of the
+    floored scaled base equals a prefix sum or a numerator exactly."""
+
+    # squared numerators 9, 16, 49, 1 give prefix sums 9, 25, 74, 75; D = 7
+    X = Point._from_ints((2, 3, 5, 9), (3, -4, 7, 1), 7)
+    SCALES = (3, 10, 10 ** 9 + 7)
+
+    @staticmethod
+    def base_with_floor(floor_value: int, den: int, scale: int) -> F:
+        """A base b that is not a rational square with floor(b * den) ==
+        floor_value, and a denominator that does not divide den."""
+        for s in range(1, scale):
+            base = F(floor_value * scale + s, den * scale)
+            if non_square(base):
+                return base
+        raise AssertionError("no non-square base found")
+
+    def test_prefix_equal_to_root_is_not_an_exceedance(self):
+        x = self.X
+        d4 = x._den_sq ** 2
+        for k, prefix in enumerate(x._prefix_sq):
+            # isqrt(bn * D^4 // bd) == prefix for floors prefix^2 ... prefix^2 + 2*prefix
+            for floor_value in (prefix * prefix, prefix * prefix + 1, (prefix + 1) ** 2 - 1):
+                for scale in self.SCALES:
+                    base = self.base_with_floor(floor_value, d4, scale)
+                    assert isqrt(base.numerator * d4 // base.denominator) == prefix
+                    alpha = RootValue(base, 4)
+                    expected = x.support[k + 1] if k + 1 < len(x.support) else None
+                    assert m_index(x, alpha) == expected == scan_m_index(x, alpha)
+                    assert expected == oracle.m_index(x.entries, base)
+
+    def test_bases_one_unit_either_side_of_a_crossing(self):
+        # prefix P crosses alpha^2 when bn * D^4 == P^2 * bd; step bn one
+        # unit below and above that, for several bd
+        x = self.X
+        d4 = x._den_sq ** 2
+        checked = 0
+        for k, prefix in enumerate(x._prefix_sq):
+            for bd in (1, 2, 3, 5, 10 ** 9 + 7):
+                crossing = prefix * prefix * bd
+                for bn in (crossing // d4, crossing // d4 + 1, crossing // d4 - 1):
+                    base = F(bn, bd)
+                    if bn < 1 or not non_square(base):
+                        continue
+                    alpha = RootValue(base, 4)
+                    expected = oracle.m_index(x.entries, base)
+                    assert m_index(x, alpha) == expected == scan_m_index(x, alpha)
+                    checked += 1
+        assert checked >= 40
+
+    def test_numerator_equal_to_root_does_not_violate(self):
+        # m = 1 (40/3 is far above alpha); the coordinates after it have
+        # numerators c and c + 1 over D = 3, and beta^2 = bn/bd is placed so
+        # that isqrt(bn * D^2 // bd) == c: |c| is inside, c + 1 violates
+        alpha = RootValue(F(2), 4)
+        for c in (1, 5, 12):
+            for sign in (1, -1):
+                x = Point._from_ints((1, 4, 6), (40, sign * c, sign * (c + 1)), 3)
+                inside = Point._from_ints((1, 4), (40, sign * c), 3)
+                for floor_value in (c * c, c * c + 1, (c + 1) ** 2 - 1):
+                    for scale in self.SCALES:
+                        base = self.base_with_floor(floor_value, x._den_sq, scale)
+                        assert isqrt(base.numerator * x._den_sq // base.denominator) == c
+                        pair = AlphaBetaPair(alpha, RootValue(base, 2))
+                        assert first_violating_index(x, pair) == 6
+                        assert first_violating_index(inside, pair) is None
+                        assert scan_first_violating_index(x, pair) == 6
+                        assert scan_first_violating_index(inside, pair) is None
+                        assert oracle.in_A(inside.entries, alpha.base, base)
+                        assert not oracle.in_A(x.entries, alpha.base, base)
+
+    def test_coordinate_at_m_is_not_tested(self):
+        # the coordinate at m itself reaches beta; only those after it count
+        pair = AlphaBetaPair(RootValue(F(2), 4), RootValue(F(1, 2), 2))
+        for x in (Point({1: F(1, 10), 2: F(5)}), Point({1: F(1, 10), 2: F(5), 4: F(1, 10)})):
+            assert m_index(x, pair.alpha) == 2
+            assert first_violating_index(x, pair) is None
+            assert in_A(x, pair) and oracle.in_A(x.entries, F(2), F(1, 2))
+
+    def test_tail_equal_to_quarter_beta_sq(self):
+        # with beta^2 = 1/2 the tail from index 3 is (1 + 1) / 16, exactly
+        # beta^2 / 4, which is not below it, so l0 moves one index further
+        x = Point._from_ints((1, 2, 3, 4), (8, 1, 1, 1), 4)
+        pair = AlphaBetaPair(RootValue(F(2), 4), RootValue(F(1, 2), 2))
+        assert x.tail_norm_sq(3) == F(1, 8)
+        cert = openness_radius(x, pair)
+        assert cert.components["m"] == 1
+        assert cert.components["l0"] == scan_openness_l0(x, F(1, 2)) == 4
+
+    def test_tail_below_quarter_beta_sq_from_index_1(self):
+        # the whole norm is below beta^2 / 4 but above alpha^2: l0 = 1
+        x = Point({1: F(1, 1000)})
+        pair = AlphaBetaPair(RootValue(F(1, 10 ** 13), 4), RootValue(F(1, 2), 2))
+        cert = openness_radius(x, pair)
+        assert cert.components["m"] == 1
+        assert cert.components["l0"] == scan_openness_l0(x, F(1, 2)) == 1

@@ -10,7 +10,7 @@ import pytest
 
 from erdos_clopen.exact import RootValue, is_rational_square
 from erdos_clopen.space import Point, unit
-from erdos_clopen.clopen import DEFAULT_SCHEDULE, Schedule, in_O
+from erdos_clopen.clopen import DEFAULT_SCHEDULE, Schedule, first_failing_n, in_O
 from erdos_clopen.witness import (
     InvalidEpsilonError,
     ScheduleExhaustedError,
@@ -59,6 +59,23 @@ class TestConstructWitness:
         assert record.z == pt([(1, 4), (2, F(1, 2))])
         assert record.failing_n == 3
         assert all(check["holds"] for check in record.checks)
+        oracle_recheck(record)
+
+    @pytest.mark.parametrize("direction, failing_n", [
+        ([(1, 1), (2, 1)], 1),         # z = (3, 3, 1/2): |z_2| > beta_1 past m = 1
+        ([(1, 2), (2, F(1, 8))], 2),   # z = (4, 3/4): beta_2 < 3/4 < beta_1
+    ])
+    def test_failing_n_before_m_star(self, direction, failing_n):
+        record = construct_witness(VSpec(F(1), ray_source(pt(direction))),
+                                   DEFAULT_SCHEDULE)
+        assert record.m_star == 3
+        assert record.failing_n == failing_n == first_failing_n(record.z, DEFAULT_SCHEDULE)
+        assert record.to_json()["failing_n"] == failing_n
+        a_base = lambda n: 2 * F(n) ** 4
+        b_base = lambda n: F(2, n * n)
+        assert not oracle.in_A(record.z.entries, a_base(failing_n), b_base(failing_n))
+        assert all(oracle.in_A(record.z.entries, a_base(n), b_base(n))
+                   for n in range(1, failing_n))
         oracle_recheck(record)
 
     def test_negative_case(self):
