@@ -69,7 +69,6 @@ _INPUT_ERRORS = (
     ScheduleExhaustedError,
     InvalidEpsilonError,
     InvalidParamsError,
-    json.JSONDecodeError,
     OSError,
 )
 

@@ -359,31 +359,31 @@ def openness_radius(x: Point, pair: AlphaBetaPair,
         raise PreconditionViolatedError("point is outside A; no openness radius")
     m = x.support[pos]
 
-    beta_sq = pair.beta_sq
+    bn, bd = pair.beta_sq.numerator, pair.beta_sq.denominator
     # the tail sum from l only changes just past a support index (and is 0
     # past the last one), so l0 is 1 or one past some support index. Past
     # position k the tail is (total - P_k) / D^2, below beta^2/4 = bn/(4bd)
     # iff 4*bd*(total - P_k) < bn*D^2 iff P_k > total - ceil(bn*D^2/(4*bd)),
     # and the prefix sums P_k strictly increase: one bisection.
     prefix = x._prefix_sq
-    threshold = prefix[-1] + (-beta_sq.numerator * x._den_sq // (4 * beta_sq.denominator))
+    threshold = prefix[-1] + (-bn * x._den_sq // (4 * bd))
     l0 = 1 if threshold < 0 else x.support[bisect_right(prefix, threshold)] + 1
 
     beta_half = RootExpr.of_root(Fraction(1, 2), pair.beta)
 
-    h_candidates = []
-    covered = set()
-    for index, value in x.entries:
-        if index > l0:
-            break
-        covered.add(index)
-        if value * value < beta_sq:
-            h_candidates.append(pair.beta_expr() - RootExpr.of_rational(abs(value)))
-        else:
-            h_candidates.append(RootExpr.of_rational(abs(value)) - pair.beta_expr())
-    if len(covered) < l0:  # some position <= l0 carries a zero coordinate
-        h_candidates.append(pair.beta_expr())
-    h_expr = expr_min(*h_candidates)
+    # h: the closest approach to beta of |x_l| = |num|/D over l <= l0 (an
+    # empty position is 0); |num|/D < beta iff |num| <= bound. Position l0
+    # is empty or below beta/2, so the largest such b exists (0 if empty),
+    # and beta - b/D is below a/D - beta for the least a > bound iff
+    # (a + b)^2 * bd > 4*bn*D^2 (never equal: beta is irrational).
+    nums = [abs(n) for n in x._nums[:bisect_right(x.support, l0)]]
+    bound = isqrt(bn * x._den_sq // bd)
+    b = max((n for n in nums if n <= bound), default=0)
+    a = min((n for n in nums if n > bound), default=None)
+    if a is None or (a + b) ** 2 * bd > 4 * bn * x._den_sq:
+        h_expr = pair.beta_expr() - RootExpr.of_rational(Fraction(b, x._den))
+    else:
+        h_expr = RootExpr.of_rational(Fraction(a, x._den)) - pair.beta_expr()
 
     if m == 1:
         a_expr = RootExpr.of_rational(Fraction(1))
@@ -417,22 +417,17 @@ def o_openness_radius(x: Point, schedule: Schedule,
     if not in_O(x, schedule):
         raise PreconditionViolatedError("point is outside O; no O-openness radius")
     n0 = schedule.least_n_with_alpha_above(x.norm_sq())
-    inner_bounds = {}
-    bound = None
+    bounds = {}
     for n in range(1, n0 + 1):
         cert = openness_radius(x, schedule.pair_at(n), den_cap)
-        inner_bounds[str(n)] = cert.bound
-        bound = cert.bound if bound is None else min(bound, cert.bound)
-    ball_margin = (RootExpr.of_root(Fraction(1), schedule.alpha_at(n0))
-                   - sqrt_expr(x.norm_sq()))
-    ball_bound = largest_rational_at_most(ball_margin, den_cap)
-    bound = ball_bound if bound is None else min(bound, ball_bound)
+        bounds[str(n)] = cert.bound
     return RadiusCertificate(
         kind=CertificateKind.CLAIM4_W,
-        bound=bound,
+        bound=min(bounds.values()),
         components={
             "n0": n0,
-            "per_n_bounds": {k: format_rational(v) for k, v in inner_bounds.items()},
-            "ball_margin": ball_margin,
+            "per_n_bounds": {k: format_rational(v) for k, v in bounds.items()},
+            # |x| < alpha_n0, so the n0 certificate is the alpha_n0 ball margin
+            "ball_margin": cert.components["ball_margin"],
         },
     )

@@ -64,15 +64,21 @@ class EmptyIntervalError(ExactError):
 # [0-9], not \d: \d and int() also take other scripts' digits
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
+#: Most digits a numeral of the input may have: CPython's default limit for
+#: converting between int and str.
+MAX_DIGITS = 4300
+
 
 def parse_rational(text: str) -> Fraction:
     """Parse exact "p/q" (or plain integer "p") syntax in ASCII digits; no
-    decimals, spaces or digit separators.
+    decimals, spaces or digit separators, at most MAX_DIGITS digits each.
 
     Raises ValueError on anything else, including a zero denominator.
     """
     if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"invalid rational: {text!r} (expected p/q syntax)")
+    if max(map(len, text.lstrip("+-").split("/"))) > MAX_DIGITS:
+        raise ValueError(f"invalid rational: a numeral has more than {MAX_DIGITS} digits")
     if "/" in text:
         num, den = text.split("/")
         if int(den) == 0:

@@ -14,6 +14,7 @@ import time
 from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import lcm
 from typing import Optional
 
@@ -305,60 +306,36 @@ def _synthetic_source(rng: SplitMix64, config: SampleConfig):
     return ray_source(direction)
 
 
-def _verify_c5(schedule: Schedule, config: SampleConfig) -> ClaimReport:
-    """Random (r*, source) candidates always yield fully checked witnesses;
-    the checks are the record's own, run once inside `construct_witness`."""
-    report = ClaimReport("C5", config.count, config.count)
+def _verify_witnesses(claim: str, salt: int, radius_key: str, build,
+                      schedule: Schedule, config: SampleConfig) -> ClaimReport:
+    """Witnesses built from random (radius, source) candidates: C5 for a
+    ball B(0, r*) inside V, Remark for an unbounded K plus a ball
+    B(0, eps). `construct_witness` runs every check of the record once and
+    raises AssertionError if one fails, so a draw fails exactly when its
+    construction does."""
+    report = ClaimReport(claim, config.count, config.count)
     for draw in range(config.count):
-        rng = SplitMix64(derive_seed(config.seed, draw, 5))
-        r_star = _sample_rational_positive(rng, config)
-        v = VSpec(r_star, _synthetic_source(rng, config))
+        rng = SplitMix64(derive_seed(config.seed, draw, salt))
+        radius = _sample_rational_positive(rng, config)
+        source = _synthetic_source(rng, config)
         try:
-            record = construct_witness(v, schedule)
+            build(radius, source, schedule)
         except Exception as exc:  # construction must never fail for valid candidates
             report.violations.append(_violation(
                 draw, None, f"construction failed: {exc!r}",
-                r_star=format_rational(r_star)))
-            continue
-        for check in record.checks:
-            if not check["holds"]:
-                report.violations.append(_violation(
-                    draw, record.z, f"witness check failed: {check['check']}",
-                    witness=record.to_json()))
-    return report
-
-
-def _verify_remark(schedule: Schedule, config: SampleConfig) -> ClaimReport:
-    """Unbounded K plus an arbitrarily small ball still escapes O, read from
-    the witness's own checks."""
-    report = ClaimReport("Remark", config.count, config.count)
-    for draw in range(config.count):
-        rng = SplitMix64(derive_seed(config.seed, draw, 6))
-        eps = _sample_rational_positive(rng, config)
-        source = _synthetic_source(rng, config)
-        try:
-            record = generalized_witness(source, eps, schedule)
-        except Exception as exc:
-            report.violations.append(_violation(
-                draw, None, f"construction failed: {exc!r}",
-                eps=format_rational(eps)))
-            continue
-        holds = {check["check"]: check["holds"] for check in record.checks}
-        if not holds["z_outside_O"]:
-            report.violations.append(_violation(
-                draw, record.z, "generalized witness landed inside O",
-                witness=record.to_json()))
-        if not holds["y_in_ball"]:
-            report.violations.append(_violation(
-                draw, record.y, "perturbation not inside the eps ball",
-                witness=record.to_json()))
+                **{radius_key: format_rational(radius)}))
     return report
 
 
 #: claim id -> (runner, the type of its params), in report order
 _RUNNERS = {"C1": (_verify_c1, AlphaBetaPair), "C2": (_verify_c2, AlphaBetaPair),
             "C3": (_verify_c3, AlphaBetaPair), "C4": (_verify_c4, Schedule),
-            "C5": (_verify_c5, Schedule), "Remark": (_verify_remark, Schedule)}
+            "C5": (partial(_verify_witnesses, "C5", 5, "r_star",
+                           lambda r, source, s: construct_witness(VSpec(r, source), s)),
+                   Schedule),
+            "Remark": (partial(_verify_witnesses, "Remark", 6, "eps",
+                               lambda eps, source, s: generalized_witness(source, eps, s)),
+                       Schedule)}
 CLAIM_IDS = tuple(_RUNNERS)
 _NEEDS = {AlphaBetaPair: "an AlphaBetaPair", Schedule: "a Schedule"}
 

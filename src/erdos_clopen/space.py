@@ -28,7 +28,7 @@ from itertools import accumulate
 from math import gcd, isqrt, lcm
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .exact import RootValue, format_rational, parse_rational
+from .exact import MAX_DIGITS, RootValue, format_rational, parse_rational
 
 EntryLike = Union[Mapping[int, Fraction], Iterable[tuple[int, Fraction]]]
 
@@ -151,6 +151,8 @@ class Point:
         for key in coords:
             if not (key.isascii() and key.isdigit()):
                 raise ValueError(f"invalid point index: {key!r} (expected ASCII digits)")
+            if len(key) > MAX_DIGITS:
+                raise ValueError(f"invalid point index: more than {MAX_DIGITS} digits")
         return cls((int(key), parse_rational(text)) for key, text in coords.items())
 
 

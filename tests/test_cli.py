@@ -87,6 +87,37 @@ class TestCheck:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
 
+    @pytest.mark.parametrize("coords, message", [
+        ({"1": "7" * 4301}, "invalid rational: a numeral has more than 4300 digits"),
+        ({"1": "-1/" + "7" * 4301}, "invalid rational: a numeral has more than 4300 digits"),
+        ({"1": "0" * 4300 + "1"}, "invalid rational: a numeral has more than 4300 digits"),
+        ({"7" * 4301: "1"}, "invalid point index: more than 4300 digits"),
+    ])
+    def test_numeral_past_4300_digits_exits_2(self, capsys, point_file, coords, message):
+        bad = point_file("bad.json", coords)
+        code, out, err = run_cli(capsys, "check", "--point", bad, "--set", "A")
+        assert code == EXIT_INVALID and out == ""
+        assert err == f"error: {message}\n"  # the numeral is not echoed
+
+    def test_flag_past_4300_digits_exits_2(self, capsys, point_file):
+        p = point_file("p.json", {"1": "1/1"})
+        code, out, err = run_cli(capsys, "check", "--point", p, "--set", "A",
+                                 "--alpha-base", "3" * 4301)
+        assert code == EXIT_INVALID and out == ""
+        assert err == "error: invalid rational: a numeral has more than 4300 digits\n"
+
+    @pytest.mark.parametrize("coords", [
+        {"1": "7" * 4300},
+        {"1": "-1/" + "7" * 4300},
+        {"1": "+" + "7" * 4300 + "/" + "3" * 4300},
+        {"7" * 4300: "1"},
+    ])
+    def test_numeral_of_4300_digits_parses(self, capsys, point_file, coords):
+        p = point_file("p.json", coords)
+        code, out, err = run_cli(capsys, "check", "--point", p, "--set", "A")
+        assert code == EXIT_OK and err == ""
+        assert json.loads(out)["set"] == "A"
+
     def test_square_alpha_base_rejected(self, capsys, point_file):
         p = point_file("p.json", {"1": "1/1"})
         code, _, err = run_cli(capsys, "check", "--point", p, "--set", "Ealpha",

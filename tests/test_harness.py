@@ -345,6 +345,73 @@ class TestPinnedViolationRecords:
             "88cbb489bc7383169931ca1e906e316561d0e6e14937883e3ee9d2b436a6a6de")
 
 
+class TestConstructionFailedRecords:
+    """C5 and Remark record a draw as "construction failed" when building
+    its witness raises; the records below were recorded once, before the
+    two claims shared one loop, and pinned."""
+
+    @staticmethod
+    def reports(config):
+        return [verify_claim("C5", DEFAULT_SCHEDULE, config),
+                verify_claim("Remark", DEFAULT_SCHEDULE, config)]
+
+    @staticmethod
+    def assert_records(reports, detail_prefix):
+        for report, key in zip(reports, ("r_star", "eps")):
+            assert report.eligible == report.samples_run
+            for record in report.violations:
+                assert set(record) == {"draw", "detail", key}  # no point
+                assert record["detail"].startswith(detail_prefix)
+        return "\n".join(json.dumps(r.to_json(), sort_keys=True) for r in reports)
+
+    def test_raising_builder_gives_pinned_records(self, monkeypatch):
+        """Both builders raise on every radius with an odd numerator."""
+        from erdos_clopen import harness
+
+        def raising(build, radius_of):
+            def builder(*args):
+                radius = radius_of(*args)
+                if radius.numerator % 2:
+                    raise RuntimeError(f"no witness for {radius}")
+                return build(*args)
+            return builder
+
+        monkeypatch.setattr(harness, "construct_witness", raising(
+            harness.construct_witness, lambda v, schedule: v.ball_radius))
+        monkeypatch.setattr(harness, "generalized_witness", raising(
+            harness.generalized_witness, lambda source, eps, schedule: eps))
+        reports = self.reports(SampleConfig(seed=42, count=40))
+        assert [len(r.violations) for r in reports] == [31, 29]
+        assert reports[0].violations[0] == {
+            "draw": 0, "detail": "construction failed: RuntimeError('no witness for 5/7')",
+            "r_star": "5/7"}
+        text = self.assert_records(reports, "construction failed: RuntimeError('no witness")
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "91f776bc4fce1c9a812a57797116dfc587227ee68089509509a277a9373b337f")
+
+    def test_failing_witness_check_gives_pinned_records(self, monkeypatch):
+        """Every witness with an odd m* reports its z_outside_O check as
+        failed, so `construct_witness` raises AssertionError."""
+        from erdos_clopen import witness
+
+        original = witness.verify_witness
+
+        def failing_on_odd_m_star(x, y, z, m_star, *args):
+            checks = original(x, y, z, m_star, *args)
+            if m_star % 2:
+                checks[-1] = dict(checks[-1], holds=False)
+            return checks
+
+        monkeypatch.setattr(witness, "verify_witness", failing_on_odd_m_star)
+        reports = self.reports(SampleConfig(seed=42, count=40))
+        assert [len(r.violations) for r in reports] == [25, 21]
+        text = self.assert_records(
+            reports, "construction failed: AssertionError(\"witness construction "
+                     "produced a failing check: [{'check': 'y_in_ball'")
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "9b2a7450206f9759c9c9aeee59aae5543ee079e1189b7e9460df2d8514e836b8")
+
+
 class TestRunSuite:
     def test_reports_in_claim_order_and_deterministic(self):
         config = SampleConfig(seed=24, count=60)

@@ -1,27 +1,41 @@
 """The first-exceedance position and the beta test, decided by one integer
-root and one bisection each, against the linear scans they replaced and
-against the interval oracle.
+root and one bisection each, and the openness certificate's h, chosen by
+one integer comparison, against the scans they replaced and against the
+interval oracle.
 
 The scans below are the earlier implementations, kept verbatim (on the
 point's integer internals) as independent references: one product per
-support position, no integer root, no bisection.
+support position, no integer root, no bisection; h as the exact minimum
+of one expression per position up to l0.
 """
 
 from fractions import Fraction as F
 from math import isqrt
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from erdos_clopen.exact import RootValue, is_rational_power
+from erdos_clopen.exact import (
+    RootExpr,
+    RootValue,
+    expr_min,
+    is_rational_power,
+    largest_rational_at_most,
+)
 from erdos_clopen.space import Point, m_index
 from erdos_clopen.clopen import (
+    DEFAULT_DEN_CAP,
     AlphaBetaPair,
+    CertificateKind,
+    RadiusCertificate,
     Schedule,
     closedness_radius,
     first_failing_n,
     first_violating_index,
     in_A,
+    in_O,
+    o_openness_radius,
     openness_radius,
+    sqrt_expr,
 )
 
 import oracle
@@ -54,6 +68,59 @@ def scan_openness_l0(x: Point, beta_sq: F) -> int:
     quarter_beta_sq = beta_sq / 4
     return next(index + 1 for index in (0,) + x.support
                 if x.tail_norm_sq(index + 1) < quarter_beta_sq)
+
+
+def scan_openness_h(x: Point, pair: AlphaBetaPair, l0: int) -> RootExpr:
+    beta_sq = pair.beta_sq
+    h_candidates = []
+    covered = set()
+    for index, value in x.entries:
+        if index > l0:
+            break
+        covered.add(index)
+        if value * value < beta_sq:
+            h_candidates.append(pair.beta_expr() - RootExpr.of_rational(abs(value)))
+        else:
+            h_candidates.append(RootExpr.of_rational(abs(value)) - pair.beta_expr())
+    if len(covered) < l0:  # some position <= l0 carries a zero coordinate
+        h_candidates.append(pair.beta_expr())
+    return expr_min(*h_candidates)
+
+
+def scan_openness_json(x: Point, pair: AlphaBetaPair) -> dict:
+    """The Claim 3 certificate of a point of A whose m exists, every index
+    found by the scans above and h by `scan_openness_h`."""
+    m = scan_m_index(x, pair.alpha)
+    l0 = scan_openness_l0(x, pair.beta_sq)
+    beta_half = RootExpr.of_root(F(1, 2), pair.beta)
+    h_expr = scan_openness_h(x, pair, l0)
+    if m == 1:
+        a_expr = RootExpr.of_rational(F(1))
+    else:
+        a_expr = pair.alpha_expr() - sqrt_expr(x.prefix_norm_sq(m - 1))
+    prefix_margin = sqrt_expr(x.prefix_norm_sq(m)) - pair.alpha_expr()
+    radius = expr_min(prefix_margin, beta_half, h_expr, a_expr)
+    return RadiusCertificate(
+        kind=CertificateKind.CLAIM3_R,
+        bound=largest_rational_at_most(radius, DEFAULT_DEN_CAP),
+        components={"m": m, "l0": l0, "prefix_margin": prefix_margin,
+                    "beta_half": beta_half, "h": h_expr, "a": a_expr},
+    ).to_json()
+
+
+def scan_o_openness_margin_and_bound(x: Point, schedule: Schedule):
+    """The alpha_n0 ball margin and the O-openness bound, the margin
+    certified on its own as well as through the n0 certificate."""
+    n0 = schedule.least_n_with_alpha_above(x.norm_sq())
+    bound = None
+    for n in range(1, n0 + 1):
+        cert = openness_radius(x, schedule.pair_at(n))
+        bound = cert.bound if bound is None else min(bound, cert.bound)
+    ball_margin = (RootExpr.of_root(F(1), schedule.alpha_at(n0))
+                   - sqrt_expr(x.norm_sq()))
+    ball_bound = largest_rational_at_most(ball_margin, DEFAULT_DEN_CAP)
+    bound = ball_bound if bound is None else min(bound, ball_bound)
+    return ball_margin, bound
 
 
 def non_square(value: F) -> bool:
@@ -118,6 +185,36 @@ def point_and_bases(draw):
     return x, alpha4, beta2
 
 
+# points whose support is 1..k: no position up to the last is empty
+contiguous_points = st.lists(wide_coordinate, min_size=1, max_size=8).map(
+    lambda values: Point(enumerate(values, 1)))
+
+
+@st.composite
+def openness_cases(draw):
+    """A nonzero point with alpha^2 placed between two of its prefix sums
+    (so m exists) and beta^2 near one of its squared coordinates but above
+    every squared coordinate past m (so the point is in A): the
+    coordinates up to l0 fall on both sides of beta."""
+    x = draw(st.one_of(points(wide_coordinate), contiguous_points).filter(
+        lambda p: not p.is_zero()))
+    den_sq = F(x._den_sq)
+    k = draw(st.integers(0, len(x.support) - 1))
+    low = x._prefix_sq[k - 1] if k else 0
+    t = draw(st.fractions(F(1, 1000), F(999, 1000), max_denominator=1000))
+    alpha_sq = (low + t * (x._prefix_sq[k] - low)) / den_sq
+    alpha4 = alpha_sq * alpha_sq * F(10 ** 12 + 1, 10 ** 12)  # never a square
+    m = scan_m_index(x, RootValue(alpha4, 4))
+    assume(m is not None)
+    j = draw(st.integers(0, len(x.support) - 1))
+    beta2 = x._nums[j] ** 2 / den_sq * draw(st.fractions(F(1, 2), 2, max_denominator=1000))
+    past_m = [n * n for i, n in zip(x.support, x._nums) if i > m]
+    if past_m:
+        beta2 = max(beta2, max(past_m) / den_sq * F(10 ** 9 + 1, 10 ** 9))
+    beta2 = beta2 if non_square(beta2) else beta2 * (1 + F(1, 10 ** 12))
+    return x, alpha4, beta2
+
+
 def oracle_first_failing_n(x: Point, schedule: Schedule):
     """Least n with x outside the n-th A-set, scanning n while the norm
     exceeds alpha_n^2, decided by the interval oracle alone."""
@@ -158,6 +255,27 @@ class TestAgainstLinearScans:
             components = closedness_radius(x, pair).components
             assert components["l0"] == scan_first_violating_index(x, pair)
         assert components["m"] == m
+
+
+    @given(openness_cases())
+    @example((Point({2: F(5)}), F(2), F(1, 2)))
+    @example((Point({1: F(5), 2: F(1, 2)}), F(2), F(1, 2)))
+    @settings(max_examples=300, deadline=None)
+    def test_openness_certificate(self, case):
+        x, alpha4, beta2 = case
+        pair = AlphaBetaPair(RootValue(alpha4, 4), RootValue(beta2, 2))
+        assert openness_radius(x, pair).to_json() == scan_openness_json(x, pair)
+
+    @given(decaying_points(), st.sampled_from(SCHEDULES))
+    @example(Point(), SCHEDULES[0])
+    @example(Point({1: F(2), 2: F(1)}), SCHEDULES[0])
+    @settings(max_examples=200, deadline=None)
+    def test_o_openness_ball_margin_and_bound(self, x, schedule):
+        assume(in_O(x, schedule))
+        cert = o_openness_radius(x, schedule)
+        ball_margin, bound = scan_o_openness_margin_and_bound(x, schedule)
+        assert cert.components["ball_margin"].to_json() == ball_margin.to_json()
+        assert cert.bound == bound
 
 
 class TestAgainstOracle:
@@ -284,3 +402,90 @@ class TestExactBoundaries:
         cert = openness_radius(x, pair)
         assert cert.components["m"] == 1
         assert cert.components["l0"] == scan_openness_l0(x, F(1, 2)) == 1
+
+
+class TestOpennessH:
+    """h on forced cases: empty positions up to l0, l0 one past the
+    support, l0 = 1, numerators equal to the root and one above it, and
+    (a + b)^2 * bd one unit either side of 4 * bn * D^2. Each certificate
+    is also compared whole with the scans' one."""
+
+    PAIR = AlphaBetaPair(RootValue(F(2), 4), RootValue(F(1, 2), 2))
+
+    @staticmethod
+    def h(x, pair):
+        cert = openness_radius(x, pair)
+        assert cert.to_json() == scan_openness_json(x, pair)
+        return cert.components["h"], cert.components["l0"]
+
+    def test_empty_position_up_to_l0(self):
+        beta = self.PAIR.beta_expr()
+        # position 1 is empty and 5 is far above beta: h = beta - 0
+        assert self.h(Point({2: F(5)}), self.PAIR) == (beta, 3)
+        # an empty position does not hide a coordinate below beta
+        h, l0 = self.h(Point({1: F(1, 10), 3: F(5)}), self.PAIR)
+        assert (h, l0) == (beta - RootExpr.of_rational(F(1, 10)), 4)
+
+    def test_l0_one_past_the_last_support_index(self):
+        beta = self.PAIR.beta_expr()
+        assert self.h(Point({1: F(5)}), self.PAIR) == (beta, 2)
+        h, l0 = self.h(Point({1: F(5), 2: F(1, 2)}), self.PAIR)
+        assert (h, l0) == (beta - RootExpr.of_rational(F(1, 2)), 3)
+
+    def test_l0_is_1(self):
+        # the whole norm is below beta^2 / 4 but above alpha^2
+        pair = AlphaBetaPair(RootValue(F(1, 10 ** 13), 4), RootValue(F(1, 2), 2))
+        h, l0 = self.h(Point({1: F(1, 1000)}), pair)
+        assert (h, l0) == (pair.beta_expr() - RootExpr.of_rational(F(1, 1000)), 1)
+        assert self.h(Point({2: F(1, 1000)}), pair) == (pair.beta_expr(), 1)
+
+    def test_numerators_equal_to_the_root_and_one_above(self):
+        # D = 3; m = 2 (alpha^2 sits between the first two prefix sums);
+        # beta^2 = bn/bd with isqrt(bn * 9 // bd) == c: numerator c is below
+        # beta, c + 1 is above it, and the closer one is h
+        seen = set()
+        for c in (1, 5, 12):
+            for sign in (1, -1):
+                x = Point._from_ints((1, 2, 3), (sign * (c + 1), 40, sign * c), 3)
+                alpha_sq = F((c + 1) ** 2 + 800, 9)
+                alpha = RootValue(alpha_sq * alpha_sq * F(10 ** 12 + 1, 10 ** 12), 4)
+                for floor_value in (c * c, c * c + 1, (c + 1) ** 2 - 1):
+                    for scale in TestExactBoundaries.SCALES:
+                        base = TestExactBoundaries.base_with_floor(floor_value, 9, scale)
+                        assert isqrt(base.numerator * 9 // base.denominator) == c
+                        pair = AlphaBetaPair(alpha, RootValue(base, 2))
+                        h, _ = self.h(x, pair)
+                        below = (2 * c + 1) ** 2 * base.denominator > 36 * base.numerator
+                        beta = pair.beta_expr()
+                        assert h == (beta - RootExpr.of_rational(F(c, 3)) if below
+                                     else RootExpr.of_rational(F(c + 1, 3)) - beta)
+                        seen.add(below)
+        assert seen == {True, False}
+
+    def test_sum_squared_one_unit_either_side(self):
+        # x = (a/D, b/D) with m = 1 and b < beta < a, and beta^2 = bn/bd
+        # with (a + b)^2 * bd - 4 * bn * D^2 = e: beta - b/D is h iff e = 1
+        alpha = RootValue(F(1, 2 * 10 ** 6), 4)
+        checked = 0
+        for a, b, den in ((2, 1, 1), (5, 2, 1), (9, 4, 1), (5, 2, 3), (7, 4, 3), (10, 3, 7)):
+            x = Point._from_ints((1, 2), (a, b), den)
+            assert x._den == den
+            for e in (1, -1):
+                found = 0
+                for bd in range(1, 10 ** 4):
+                    bn, rest = divmod((a + b) ** 2 * bd - e, 4 * den * den)
+                    if rest or not non_square(F(bn, bd)):
+                        continue
+                    pair = AlphaBetaPair(alpha, RootValue(F(bn, bd), 2))
+                    beta_sq = pair.beta_sq  # already in lowest terms
+                    assert (a + b) ** 2 * beta_sq.denominator \
+                        - 4 * beta_sq.numerator * den * den == e
+                    h, _ = self.h(x, pair)
+                    beta = pair.beta_expr()
+                    assert h == (beta - RootExpr.of_rational(F(b, den)) if e == 1
+                                 else RootExpr.of_rational(F(a, den)) - beta)
+                    found += 1
+                    if found == 3:
+                        break
+                checked += found
+        assert checked == 36
