@@ -18,6 +18,7 @@ import tempfile
 from pathlib import Path
 
 from .exact import (
+    MAX_DIGITS,
     EmptyIntervalError,
     InvalidRootError,
     RootValue,
@@ -102,9 +103,16 @@ def _emit(document, out_path=None) -> None:
     sys.stdout.write(text)
 
 
+def _parse_json_int(text: str) -> int:
+    # main lifts the interpreter's own limit, so inputs keep the project's
+    if len(text.lstrip("-")) > MAX_DIGITS:
+        raise ValueError(f"invalid JSON integer: more than {MAX_DIGITS} digits")
+    return int(text)
+
+
 def _load_json(path: str) -> dict:
     with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
+        return json.load(handle, parse_int=_parse_json_int)
 
 
 def _load_point(path: str) -> Point:
@@ -295,11 +303,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # inputs are held to MAX_DIGITS digits where they are parsed, but a
+    # result (a certificate's prefix-norm base) may print with more
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return args.handler(args)
     except _INPUT_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -91,10 +91,6 @@ class AlphaBetaPair:
     def to_json(self) -> dict:
         return {"alpha": self.alpha.to_json(), "beta": self.beta.to_json()}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "AlphaBetaPair":
-        return cls(RootValue.from_json(data["alpha"]), RootValue.from_json(data["beta"]))
-
 
 DEFAULT_PAIR = AlphaBetaPair(RootValue(Fraction(2), 4), RootValue(Fraction(1, 2), 2))
 
@@ -108,11 +104,11 @@ class Schedule:
     rational scaling constants a, b keep every side condition (the factor 2
     under the root can never be absorbed into a rational square), so
     validation reduces to positivity plus constructing the n=1 roots.
-    Thresholds are built from the integers (u, v, s, t) of a = u/v and
-    b = s/t, read once into `_scales`, and each RootValue still re-checks
-    its base. `_scales` is also the pair cache's key: equal schedules have
-    equal integers and share cache entries; it takes no part in ==, hash
-    or repr.
+    Every threshold comes from the cached `pair_at(n)`, built from the
+    integers (u, v, s, t) of a = u/v and b = s/t, read once into `_scales`;
+    each RootValue still re-checks its base. `_scales` is also the pair
+    cache's key: equal schedules have equal integers and share cache
+    entries; it takes no part in ==, hash or repr.
     """
 
     alpha_scale: Fraction = Fraction(1)
@@ -129,32 +125,10 @@ class Schedule:
                            (a.numerator, a.denominator, b.numerator, b.denominator))
         self.pair_at(1)  # surfaces invalid roots immediately
 
-    def alpha_at(self, n: int) -> RootValue:
-        return RootValue(self.alpha_sq_sq(n), 4)
-
-    def beta_at(self, n: int) -> RootValue:
-        return RootValue(self.beta_sq(n), 2)
-
     def pair_at(self, n: int) -> AlphaBetaPair:
-        self._check_n(n)
-        return _cached_pair(self._scales, n)
-
-    @staticmethod
-    def _check_n(n: int) -> None:
         if type(n) is not int or n < 1:  # bool is an int subclass, not an index
             raise ValueError(f"schedule index must be a positive integer, got {n!r}")
-
-    def alpha_sq_sq(self, n: int) -> Fraction:
-        """alpha_n^4; norm_sq < alpha_n^2 iff norm_sq^2 < this."""
-        self._check_n(n)
-        u, v, _, _ = self._scales
-        return _alpha_sq_sq(u, v, n)
-
-    def beta_sq(self, n: int) -> Fraction:
-        """beta_n^2; |x_l| < beta_n iff x_l^2 < this."""
-        self._check_n(n)
-        _, _, s, t = self._scales
-        return _beta_sq(s, t, n)
+        return _cached_pair(self._scales, n)
 
     def least_n_with_alpha_above(self, norm_sq: Fraction) -> int:
         """Least n with norm_sq < alpha_n^2, i.e. n^4 > norm_sq^2 / (2*a^4)
@@ -165,9 +139,12 @@ class Schedule:
         return floor_root(p * p * v ** 4 // (2 * u ** 4 * q * q), 4) + 1
 
     def least_n_with_beta_below(self, bound: Fraction) -> int:
-        """Least n with beta_n < bound, i.e. n^2 > 2*b^2 / bound^2, for a
-        positive rational bound (equality cannot occur: beta_n is irrational)."""
-        return floor_root(2 * self.beta_scale ** 2 / bound ** 2, 2) + 1
+        """Least n with beta_n < bound, i.e. n^2 > 2*b^2 / bound^2 (equality
+        cannot occur: beta_n is irrational), computed in the integers of a
+        positive rational bound = p/q and b = beta_scale = s/t."""
+        p, q = bound.numerator, bound.denominator
+        _, _, s, t = self._scales
+        return floor_root(2 * s * s * q * q // (t * t * p * p), 2) + 1
 
     def to_json(self) -> dict:
         return {
@@ -189,16 +166,6 @@ class Schedule:
         )
 
 
-def _alpha_sq_sq(u: int, v: int, n: int) -> Fraction:
-    """alpha_n^4 = 2*u^4*n^4/v^4 for alpha_scale = u/v."""
-    return Fraction(2 * u ** 4 * n ** 4, v ** 4)
-
-
-def _beta_sq(s: int, t: int, n: int) -> Fraction:
-    """beta_n^2 = 2*s^2/(t^2*n^2) for beta_scale = s/t."""
-    return Fraction(2 * s * s, t * t * n * n)
-
-
 # Keyed on a schedule's scale integers (u, v, s, t) and n, which are equal
 # exactly when the schedules are: equal schedules share entries, and a key
 # hashes as a tuple of ints, with no Fraction or dataclass hash or ==. The
@@ -206,8 +173,9 @@ def _beta_sq(s: int, t: int, n: int) -> Fraction:
 @lru_cache(maxsize=4096)
 def _cached_pair(scales: tuple, n: int) -> AlphaBetaPair:
     u, v, s, t = scales
-    return AlphaBetaPair(RootValue(_alpha_sq_sq(u, v, n), 4),
-                         RootValue(_beta_sq(s, t, n), 2))
+    # alpha_n^4 = 2*u^4*n^4/v^4 and beta_n^2 = 2*s^2/(t^2*n^2)
+    return AlphaBetaPair(RootValue(Fraction(2 * u ** 4 * n ** 4, v ** 4), 4),
+                         RootValue(Fraction(2 * s * s, t * t * n * n), 2))
 
 
 DEFAULT_SCHEDULE = Schedule()

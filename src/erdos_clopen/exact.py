@@ -161,10 +161,6 @@ class RootValue:
     def to_json(self) -> dict:
         return {"base": format_rational(self.base), "degree": self.degree}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "RootValue":
-        return cls(parse_rational(data["base"]), int(data["degree"]))
-
 
 def cmp_rational_vs_root(s: Fraction, t: RootValue) -> Ordering:
     """Exact order of the rational s against the irrational t.

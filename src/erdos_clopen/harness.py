@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from bisect import insort
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import partial
 from math import lcm
@@ -41,6 +41,10 @@ from .witness import (
 class InvalidParamsError(Exception):
     """Claim id or parameters outside the suite's contract."""
 
+
+#: Most coordinates one sampled point may have; `_draw_ints` inserts its
+#: indices one at a time, in time quadratic in their number.
+_MAX_COORDINATES = 1000
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -103,21 +107,15 @@ class SampleConfig:
         for name in ("max_index", "max_numerator", "max_denominator"):
             if not 1 <= getattr(self, name) <= 1 << 64:
                 raise InvalidParamsError(f"{name} must be in [1, 2^64]")
-        if min(self.max_support, self.max_index) >= 1 << 64:  # a draw below(min + 1)
-            raise InvalidParamsError("max_support and max_index must not both be >= 2^64")
+        if min(self.max_support, self.max_index) > _MAX_COORDINATES:
+            raise InvalidParamsError(
+                f"a draw has at most {_MAX_COORDINATES} coordinates: "
+                f"min(max_support, max_index) must be <= {_MAX_COORDINATES}")
         if self.count < 0 or self.count_inner < 0:
             raise InvalidParamsError("count and count_inner must be >= 0")
 
     def to_json(self) -> dict:
-        return {
-            "max_support": self.max_support,
-            "max_index": self.max_index,
-            "max_numerator": self.max_numerator,
-            "max_denominator": self.max_denominator,
-            "seed": self.seed,
-            "count": self.count,
-            "count_inner": self.count_inner,
-        }
+        return asdict(self)
 
 
 def _draw_ints(rng: SplitMix64, config: SampleConfig) -> tuple[list, list, int]:

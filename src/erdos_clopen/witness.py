@@ -157,20 +157,17 @@ def construct_witness(v: VSpec, schedule: Schedule) -> WitnessRecord:
             f"ball radius {format_rational(r_star)} needs m* = {m_star}, "
             f"past the supported {_SCHEDULE_SEARCH_CAP}")
 
-    alpha_star = schedule.alpha_at(m_star)
-    x = v.source(alpha_star)
-    if not _norm_exceeds(x, alpha_star):
+    pair = schedule.pair_at(m_star)
+    x = v.source(pair.alpha)
+    # |x| > alpha_m* exactly when some prefix norm exceeds it
+    m_x = m_index(x, pair.alpha)
+    if m_x is None:
         raise SourceFailureError(
             "source point does not exceed the required threshold norm"
         )
-
-    m_x = m_index(x, alpha_star)
-    # norm > alpha_star makes the prefix sums exceed it at some finite index
-    assert m_x is not None
     l_star = m_x + 1
 
-    beta_star = schedule.beta_at(m_star)
-    q = rational_in_interval(beta_star, r_star)
+    q = rational_in_interval(pair.beta, r_star)
 
     if x.coordinate(l_star) >= 0:
         case = WitnessCase.NON_NEGATIVE
@@ -204,12 +201,11 @@ def verify_witness(x: Point, y: Point, z: Point, m_star: int, l_star: int,
     the record's `checks`. Each entry names the inequality and carries the
     exact quantities compared, so a failure is reproducible in isolation.
     """
-    alpha_star = schedule.alpha_at(m_star)
-    beta_sq_star = schedule.beta_sq(m_star)
-    m_x = m_index(x, alpha_star)
-    m_z = m_index(z, alpha_star)
+    pair = schedule.pair_at(m_star)
+    m_x = m_index(x, pair.alpha)
+    m_z = m_index(z, pair.alpha)
     z_l = z.coordinate(l_star)
-    z_in_A_star = in_A(z, schedule.pair_at(m_star))
+    z_in_A_star = in_A(z, pair)
     failing = first_failing_n(z, schedule)  # None exactly when z is in O
 
     checks = [
@@ -237,9 +233,9 @@ def verify_witness(x: Point, y: Point, z: Point, m_star: int, l_star: int,
         {
             "check": "coordinate_violation",  # |z_l*|^2 > beta_m*^2
             "lhs": format_rational(z_l * z_l),
-            "rhs": format_rational(beta_sq_star),
+            "rhs": format_rational(pair.beta_sq),
             "relation": ">",
-            "holds": z_l * z_l > beta_sq_star,
+            "holds": z_l * z_l > pair.beta_sq,
         },
         {
             "check": "z_outside_A_at_m_star",

@@ -158,6 +158,29 @@ class TestRadius:
         assert document["kind"] == "Claim4_W"
         assert document["components"]["n0"] == 2
 
+    def test_certificate_past_4300_digits_prints(self, capsys, point_file):
+        """Every numeral of the point is within the input limit, but the
+        prefix-norm base of its certificate has 6,001 digits."""
+        p = point_file("p.json", {"1": "1", "2": "1" + "0" * 3000 + "/7", "3": "1"})
+        code, out, err = run_cli(capsys, "radius", "--point", p, "--kind", "closed")
+        assert code == EXIT_OK and err == ""
+        document = json.loads(out)
+        assert document["kind"] == "Claim2_r0"
+        base = document["components"]["prefix_margin"]["terms"][0]["root"]["base"]
+        assert len(base.split("/")[0]) == 6001
+
+    @pytest.mark.parametrize("kind, expected", [("closed", EXIT_OK), ("open", EXIT_INVALID)])
+    def test_int_string_limit_is_restored(self, capsys, point_file, kind, expected):
+        p = point_file("p.json", {"1": "2/1", "2": "1/1"})
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(5000)
+        try:
+            code, _, _ = run_cli(capsys, "radius", "--point", p, "--kind", kind)
+            assert code == expected
+            assert sys.get_int_max_str_digits() == 5000
+        finally:
+            sys.set_int_max_str_digits(previous)
+
 
 class TestScheduleFiles:
     def test_custom_schedule_file(self, capsys, point_file, tmp_path):
@@ -183,6 +206,16 @@ class TestScheduleFiles:
         assert code == EXIT_INVALID
         assert "degree" in err
 
+    def test_json_integer_past_4300_digits_exits_2(self, capsys, point_file, tmp_path):
+        schedule = tmp_path / "sched.json"
+        schedule.write_text('{"alpha_scale": "1/1", "degree": ' + "7" * 5000 + "}")
+        p = point_file("p.json", {})
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, "check", "--point", p, "--set", "O",
+                                 "--schedule", str(schedule))
+        assert time.perf_counter() - started < 1.0
+        assert code == EXIT_INVALID and out == ""
+        assert err == "error: invalid JSON integer: more than 4300 digits\n"
 
     def test_malformed_schedule_shape_exits_2(self, capsys, point_file, tmp_path):
         schedule = tmp_path / "sched.json"
@@ -294,6 +327,28 @@ class TestVerify:
         assert proc.returncode == EXIT_INVALID
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("caps", [
+        ["--max-support", str(2 ** 64), "--max-index", str(2 ** 64 - 1)],
+        ["--max-support", "1001", "--max-index", "1001"],
+    ])
+    def test_draws_past_1000_coordinates_exit_2(self, caps):
+        """Such caps once sent the sampler's index insertion loop round for
+        up to 2^64 - 1 coordinates."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "erdos_clopen.cli", "verify", "--samples", "1",
+             "--claims", "1", *caps],
+            capture_output=True, text=True, timeout=10)
+        assert proc.returncode == EXIT_INVALID
+        assert proc.stdout == ""
+        assert proc.stderr == ("error: a draw has at most 1000 coordinates: "
+                               "min(max_support, max_index) must be <= 1000\n")
+
+    def test_draws_of_1000_coordinates_run(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--samples", "1", "--claims", "1",
+                                 "--max-support", "1000", "--max-index", "1000")
+        assert code == EXIT_OK, err
+        assert json.loads(out)[0]["claim"] == "C1"
 
     @pytest.mark.parametrize("caps", [
         ["--max-numerator", str(2 ** 64)],

@@ -52,10 +52,10 @@ entry_strategy = st.lists(
 class TestSchedule:
     def test_default_bases(self):
         s = DEFAULT_SCHEDULE
-        assert s.alpha_at(1) == RootValue(F(2), 4)
-        assert s.alpha_at(3) == RootValue(F(162), 4)      # 2*3^4
-        assert s.beta_at(1) == RootValue(F(2), 2)
-        assert s.beta_at(3) == RootValue(F(2, 9), 2)
+        assert s.pair_at(1).alpha == RootValue(F(2), 4)
+        assert s.pair_at(3).alpha == RootValue(F(162), 4)      # 2*3^4
+        assert s.pair_at(1).beta == RootValue(F(2), 2)
+        assert s.pair_at(3).beta == RootValue(F(2, 9), 2)
 
     @pytest.mark.parametrize("schedule", [
         DEFAULT_SCHEDULE, Schedule(F(1, 3), F(2)), Schedule(F(5), F(1, 7)),
@@ -63,15 +63,15 @@ class TestSchedule:
     def test_bases_match_definition(self, schedule):
         a, b = schedule.alpha_scale, schedule.beta_scale
         for n in (1, 2, 3, 7, 100, 4245, 10 ** 6):
-            assert schedule.alpha_sq_sq(n) == 2 * a ** 4 * F(n) ** 4
-            assert schedule.beta_sq(n) == 2 * b ** 2 / F(n) ** 2
-            assert type(schedule.alpha_sq_sq(n)) is F
-            assert type(schedule.beta_sq(n)) is F
-            assert schedule.alpha_at(n) == RootValue(2 * a ** 4 * F(n) ** 4, 4)
-            assert schedule.beta_at(n) == RootValue(2 * b ** 2 / F(n) ** 2, 2)
+            pair = schedule.pair_at(n)
+            assert pair.alpha.base == 2 * a ** 4 * F(n) ** 4
+            assert pair.beta_sq == 2 * b ** 2 / F(n) ** 2
+            assert type(pair.alpha.base) is F
+            assert type(pair.beta_sq) is F
+            assert pair.alpha == RootValue(2 * a ** 4 * F(n) ** 4, 4)
+            assert pair.beta == RootValue(2 * b ** 2 / F(n) ** 2, 2)
 
-    @pytest.mark.parametrize("call", ["alpha_sq_sq", "beta_sq", "alpha_at", "beta_at",
-                                      "pair_at"])
+    @pytest.mark.parametrize("call", ["pair_at"])
     @pytest.mark.parametrize("n", [0, -2, -3, 1.0, True, False])
     def test_formulas_reject_bad_indices(self, call, n):
         with pytest.raises(ValueError, match="schedule index must be a positive integer"):
@@ -80,8 +80,8 @@ class TestSchedule:
     def test_monotonicity_and_limits(self):
         s = DEFAULT_SCHEDULE
         for n in range(1, 12):
-            assert s.alpha_sq_sq(n + 1) > s.alpha_sq_sq(n)
-            assert s.beta_sq(n + 1) < s.beta_sq(n)
+            assert s.pair_at(n + 1).alpha.base > s.pair_at(n).alpha.base
+            assert s.pair_at(n + 1).beta_sq < s.pair_at(n).beta_sq
 
     def test_scaled_schedules_stay_valid(self):
         s = Schedule(alpha_scale=F(3, 7), beta_scale=F(5, 2))
@@ -113,12 +113,12 @@ class TestSchedule:
         for k in range(1, 400):
             bound = F(k % 37 + 1, k)
             n = 1
-            while not schedule.beta_sq(n) < bound * bound:
+            while not schedule.pair_at(n).beta_sq < bound * bound:
                 n += 1
             assert schedule.least_n_with_beta_below(bound) == n
             norm_sq = F(k * k, k % 7 + 1)
             n = 1
-            while not norm_sq * norm_sq < schedule.alpha_sq_sq(n):
+            while not norm_sq * norm_sq < schedule.pair_at(n).alpha.base:
                 n += 1
             assert schedule.least_n_with_alpha_above(norm_sq) == n
 
@@ -127,9 +127,9 @@ class TestSchedule:
     def test_least_n_is_least(self, norm):
         s = DEFAULT_SCHEDULE
         n = s.least_n_with_alpha_above(norm)
-        assert norm * norm < s.alpha_sq_sq(n)
+        assert norm * norm < s.pair_at(n).alpha.base
         if n > 1:
-            assert norm * norm > s.alpha_sq_sq(n - 1)
+            assert norm * norm > s.pair_at(n - 1).alpha.base
 
 
 class TestPairCache:
@@ -157,17 +157,11 @@ class TestPairCache:
         for n in (1, 2, 9):
             for schedule in (Schedule(a, b), Schedule(c, d)):
                 pair = schedule.pair_at(n)
-                assert pair == AlphaBetaPair(schedule.alpha_at(n), schedule.beta_at(n))
-                assert pair.alpha.base == schedule.alpha_sq_sq(n)
-                assert pair.beta.base == schedule.beta_sq(n)
-
-    def test_thresholds_outside_pair_at_bypass_the_cache(self):
-        s = Schedule(F(2, 5), F(7, 3))
-        _cached_pair.cache_clear()
-        for n in (1, 3, 10 ** 6):
-            s.alpha_at(n), s.beta_at(n), s.alpha_sq_sq(n), s.beta_sq(n)
-        info = _cached_pair.cache_info()
-        assert (info.hits, info.misses) == (0, 0)
+                a4 = 2 * schedule.alpha_scale ** 4 * F(n) ** 4
+                b2 = 2 * schedule.beta_scale ** 2 / F(n) ** 2
+                assert pair == AlphaBetaPair(RootValue(a4, 4), RootValue(b2, 2))
+                assert pair.alpha.base == a4
+                assert pair.beta.base == b2
 
     def test_stored_key_leaves_dataclass_behaviour_alone(self):
         """The scale integers ride in a field that is not an init argument
@@ -184,19 +178,20 @@ class TestPairCache:
         assert hash(Schedule()) == hash(Schedule(F(3, 3), F(2, 2)))
         assert s.to_json() == {"alpha_scale": "1/3", "beta_scale": "2/1", "degree": 4}
         moved = dataclasses.replace(s, beta_scale=F(5))
-        assert moved.beta_sq(1) == 50 and moved.pair_at(1).beta.base == 50
+        assert moved.pair_at(1).beta_sq == 50 and moved.pair_at(1).beta.base == 50
 
 
 class TestPinnedThresholds:
     def test_pairs_and_bases(self):
-        """sha256 over pair_at(n).to_json(), alpha_sq_sq(n) and beta_sq(n) on
+        """sha256 over pair_at(n).to_json(), its alpha base and beta_sq on
         three schedules for n = 1..5000 and on 2000 seeded (scales, n) cases,
         recorded from the Fraction-power formulas: building the thresholds
         from the scale integers must give the same values."""
 
         def line(schedule, n):
-            return (f"{json.dumps(schedule.pair_at(n).to_json(), sort_keys=True)} "
-                    f"{schedule.alpha_sq_sq(n)} {schedule.beta_sq(n)}")
+            pair = schedule.pair_at(n)
+            return (f"{json.dumps(pair.to_json(), sort_keys=True)} "
+                    f"{pair.alpha.base} {pair.beta_sq}")
 
         lines = []
         for schedule in (DEFAULT_SCHEDULE, Schedule(F(1, 3), F(2)), Schedule(F(5), F(1, 7))):

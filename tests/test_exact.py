@@ -113,10 +113,6 @@ class TestRootValue:
             assert is_rational_power(value, 2) is None
             assert is_rational_power(value, 4) is None
 
-    def test_json_round_trip(self):
-        r = root(F(2, 3), 4)
-        assert RootValue.from_json(r.to_json()) == r
-
 
 def near_squares():
     """p^2/q^2 with p^2 and q^2 each nudged by -1, 0 or +1 (among them 0),

@@ -116,7 +116,7 @@ def scan_o_openness_margin_and_bound(x: Point, schedule: Schedule):
     for n in range(1, n0 + 1):
         cert = openness_radius(x, schedule.pair_at(n))
         bound = cert.bound if bound is None else min(bound, cert.bound)
-    ball_margin = (RootExpr.of_root(F(1), schedule.alpha_at(n0))
+    ball_margin = (RootExpr.of_root(F(1), schedule.pair_at(n0).alpha)
                    - sqrt_expr(x.norm_sq()))
     ball_bound = largest_rational_at_most(ball_margin, DEFAULT_DEN_CAP)
     bound = ball_bound if bound is None else min(bound, ball_bound)

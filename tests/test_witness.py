@@ -124,7 +124,7 @@ class TestConstructWitness:
         for r_star in (F(1), F(1, 3), F(7, 2), F(1, 17)):
             record = construct_witness(VSpec(r_star, ray_source()),
                                        DEFAULT_SCHEDULE)
-            beta_sq = DEFAULT_SCHEDULE.beta_sq(record.m_star)
+            beta_sq = DEFAULT_SCHEDULE.pair_at(record.m_star).beta_sq
             assert record.q * record.q > beta_sq
             assert record.q < r_star
             assert record.y.norm_sq() < r_star * r_star
@@ -253,18 +253,18 @@ class TestIndexMinimality:
             m, n = record.m_star, record.n_star
             s = DEFAULT_SCHEDULE
             # beta_m < 1/n and alpha_m > n at m*
-            assert s.beta_sq(m) < F(1, n * n)
-            assert s.alpha_sq_sq(m) > n ** 4
+            assert s.pair_at(m).beta_sq < F(1, n * n)
+            assert s.pair_at(m).alpha.base > n ** 4
             # m* = max(m1, m2) with both minimal: one step earlier, one of
             # the two side conditions must fail
             if m > 1:
-                assert (s.beta_sq(m - 1) > F(1, n * n)
-                        or s.alpha_sq_sq(m - 1) < n ** 4)
+                assert (s.pair_at(m - 1).beta_sq > F(1, n * n)
+                        or s.pair_at(m - 1).alpha.base < n ** 4)
 
     def test_l_star_is_least_admissible(self):
         from erdos_clopen.space import m_index
         record = construct_witness(VSpec(F(1), ray_source()), DEFAULT_SCHEDULE)
-        alpha = DEFAULT_SCHEDULE.alpha_at(record.m_star)
+        alpha = DEFAULT_SCHEDULE.pair_at(record.m_star).alpha
         assert record.l_star == m_index(record.x, alpha) + 1
 
 
@@ -287,7 +287,7 @@ class TestGeneralizedWitness:
     def test_first_ray_point_past_threshold_is_used(self):
         record = generalized_witness(ray_source(), F(1, 2), DEFAULT_SCHEDULE)
         # x = n*e_1 for the first n past alpha_m*
-        alpha4 = DEFAULT_SCHEDULE.alpha_sq_sq(record.m_star)
+        alpha4 = DEFAULT_SCHEDULE.pair_at(record.m_star).alpha.base
         n = record.x.coordinate(1)
         assert (n * n) ** 2 > alpha4
         assert ((n - 1) * (n - 1)) ** 2 < alpha4
