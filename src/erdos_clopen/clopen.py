@@ -258,17 +258,47 @@ def in_O(x: Point, schedule: Schedule) -> bool:
 
     For n >= N(x) (the least n with norm_sq < alpha_n^2) membership in the
     n-th set is automatic because the whole point lies inside the alpha_n
-    ball, so only n < N(x) need an explicit check.
+    ball, so only n < N(x) need an explicit check (`first_failing_n`).
     """
     return first_failing_n(x, schedule) is None
 
 
 def first_failing_n(x: Point, schedule: Schedule) -> Optional[int]:
-    """Least schedule index whose A-set excludes x; None when x is in O."""
+    """Least schedule index whose A-set excludes x; None when x is in O.
+
+    Only n below the cutoff N(x) can fail, and each such n has an m_n.
+    alpha_n increases, so m_n's support position pos never decreases and
+    stays the same for every n before the least n with alpha_n^2 above the
+    prefix sum at pos: the indices below N(x) split into runs of constant
+    m_n, at most one per support position. Inside a run beta_n decreases,
+    so x leaves A_n from some n on, if at all: testing the run's last
+    index decides it, and one bisection finds its first failing index.
+    Across runs there is no such order (a later m_n leaves fewer
+    coordinates to test), so every run is tested in turn; the run at the
+    last position never fails, since no coordinate follows its m_n.
+    """
     cutoff = schedule.least_n_with_alpha_above(x.norm_sq())
-    for n in range(1, cutoff):
-        if not in_A(x, schedule.pair_at(n)):
+    last = len(x.support) - 1
+    n = 1
+    while n < cutoff:
+        pair = schedule.pair_at(n)
+        pos = _m_position(x, pair.alpha)
+        if _violation_past(x, pair, pos) is not None:
             return n
+        if pos == last or n + 1 == cutoff:
+            return None
+        end = schedule.least_n_with_alpha_above(Fraction(x._prefix_sq[pos], x._den_sq))
+        passing, failing = n, end - 1
+        if failing > passing and _violation_past(x, schedule.pair_at(failing),
+                                                 pos) is not None:
+            while failing - passing > 1:
+                mid = (passing + failing) // 2
+                if _violation_past(x, schedule.pair_at(mid), pos) is None:
+                    passing = mid
+                else:
+                    failing = mid
+            return failing
+        n = end
     return None
 
 

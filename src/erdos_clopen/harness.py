@@ -270,7 +270,7 @@ def _verify_c3(pair: AlphaBetaPair, config: SampleConfig) -> ClaimReport:
 def _verify_c4(schedule: Schedule, config: SampleConfig) -> ClaimReport:
     """O contains 0, is stable inside certified radii, and its complement is
     open via the failing pair's closedness radius; the finite membership
-    check is insensitive to extending the scanned prefix of the schedule."""
+    decision agrees with `in_A` at every index up to ten past the cutoff."""
     report = ClaimReport("C4", config.count, 0)
     if not in_O(Point(), schedule):
         report.violations.append(_violation(-1, Point(), "identity escaped O"))

@@ -33,16 +33,19 @@ class SourceFailureError(Exception):
 
 
 class ScheduleExhaustedError(Exception):
-    """The ball radius is so small that m* lies past _SCHEDULE_SEARCH_CAP."""
+    """The ball radius needs an m* past _SCHEDULE_SEARCH_CAP, the largest
+    index a witness is allowed to use."""
 
 
 class InvalidEpsilonError(Exception):
     """The generalized construction needs a positive ball radius."""
 
 
-#: Largest m* a witness may use. Checking z scans up to m* threshold pairs,
-#: so radii that need more are rejected up front; 2^29 is the boundary the
-#: library has always rejected at.
+#: Largest m* a witness may use; radii that need more are rejected up front.
+#: Checking z costs a bisection over its runs of constant m, not time linear
+#: in m*, so the cap guards no cost: it is the input boundary the library
+#: has always rejected at, 2^29, and lifting it is a behaviour change of its
+#: own.
 _SCHEDULE_SEARCH_CAP = 2 ** 29
 
 #: Maps a norm threshold to a point whose norm exceeds it (exactly checked).

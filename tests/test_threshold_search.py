@@ -1,16 +1,20 @@
 """The first-exceedance position and the beta test, decided by one integer
-root and one bisection each, and the openness certificate's h, chosen by
-one integer comparison, against the scans they replaced and against the
-interval oracle.
+root and one bisection each, the openness certificate's h, chosen by one
+integer comparison, and the first failing schedule index, found by runs of
+constant m, against the scans they replaced and against the interval
+oracle.
 
 The scans below are the earlier implementations, kept verbatim (on the
 point's integer internals) as independent references: one product per
 support position, no integer root, no bisection; h as the exact minimum
-of one expression per position up to l0.
+of one expression per position up to l0; one `in_A` per schedule index
+below the cutoff.
 """
 
+import json
 from fractions import Fraction as F
-from math import isqrt
+from math import isqrt, log2
+from typing import Optional
 
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -28,6 +32,7 @@ from erdos_clopen.clopen import (
     CertificateKind,
     RadiusCertificate,
     Schedule,
+    _cached_pair,
     closedness_radius,
     first_failing_n,
     first_violating_index,
@@ -37,8 +42,10 @@ from erdos_clopen.clopen import (
     openness_radius,
     sqrt_expr,
 )
+from erdos_clopen.witness import VSpec, construct_witness, ray_source
 
 import oracle
+from test_cli import run_cli
 
 
 def scan_m_index(x: Point, alpha: RootValue):
@@ -228,6 +235,77 @@ def oracle_first_failing_n(x: Point, schedule: Schedule):
     return None
 
 
+def scan_first_failing_n(x: Point, schedule: Schedule) -> Optional[int]:
+    """Least schedule index whose A-set excludes x; None when x is in O."""
+    cutoff = schedule.least_n_with_alpha_above(x.norm_sq())
+    for n in range(1, cutoff):
+        if not in_A(x, schedule.pair_at(n)):
+            return n
+    return None
+
+
+def runs_of_m(x: Point, schedule: Schedule) -> list:
+    """[m, first n, last n] for each run of constant m_n below the cutoff,
+    with m_n found by `scan_m_index`."""
+    runs = []
+    for n in range(1, schedule.least_n_with_alpha_above(x.norm_sq())):
+        m = scan_m_index(x, schedule.pair_at(n).alpha)
+        if runs and runs[-1][0] == m:
+            runs[-1][2] = n
+        else:
+            runs.append([m, n, n])
+    return runs
+
+
+@st.composite
+def run_points(draw):
+    """Up to eight coordinates of one magnitude s (each between 5s/8 and
+    11s/8), so the prefix sums grow about linearly against alpha_n^2's
+    quadratic growth: the indices below the cutoff fall into runs of
+    constant m_n of several lengths, and x can leave A_n in the first run,
+    a later one or none."""
+    s = draw(st.sampled_from((F(1, 4), F(1, 2), F(1), F(2), F(4))))
+    indices = draw(st.lists(st.integers(1, 12), max_size=8, unique=True))
+    values = st.integers(5, 11).flatmap(lambda k: st.sampled_from((k, -k)))
+    return Point({i: s * F(draw(values), 8) for i in indices})
+
+
+# (point, schedule, its runs of constant m_n as [m, first n, last n], its
+# first failing n); `TestRunsOfConstantM` checks each line
+RUN_CASES = (
+    # the empty point, and a nonzero one: cutoff 1, no run
+    (Point(), SCHEDULES[0], [], None),
+    (Point({1: F(1)}), SCHEDULES[0], [], None),
+    # runs of length 1, passing throughout or failing in the third
+    (Point({3: F(-1, 2), 4: F(-1), 5: F(-1)}), SCHEDULES[1],
+     [[3, 1, 1], [4, 2, 2], [5, 3, 3]], None),
+    (Point({3: F(1, 2), 4: F(9, 10), 6: F(2, 3), 7: F(21, 16)}), SCHEDULES[1],
+     [[3, 1, 1], [4, 2, 2], [6, 3, 3], [7, 4, 4]], 3),
+    # the first index of a run fails; so does the last index of a run
+    (Point({1: F(-3, 4), 4: F(1), 5: F(8, 3)}), SCHEDULES[1],
+     [[1, 1, 1], [4, 2, 3], [5, 4, 7]], 2),
+    (Point({2: F(-3, 5), 3: F(-9, 4), 7: F(2, 3)}), SCHEDULES[1],
+     [[2, 1, 1], [3, 2, 5], [7, 6, 6]], 5),
+    # the first run (two indices) passes and only the next one fails
+    (Point({2: F(-1), 5: F(5, 4), 7: F(-7, 9)}), SCHEDULES[1],
+     [[2, 1, 2], [5, 3, 4]], 4),
+    # D = 37 and floor(alpha_4^2 * D^2) = 176^2: the prefix sum 176^2 stays
+    # below alpha_4^2 and m_4 moves on to 14/37, past which nothing is
+    # tested; one unit more exceeds alpha_4^2 and 14/37 > beta_4 is tested
+    (Point({1: F(176, 37), 3: F(14, 37)}), SCHEDULES[0],
+     [[1, 1, 3], [3, 4, 4]], None),
+    (Point({1: F(176, 37), 2: F(1, 37), 3: F(14, 37)}), SCHEDULES[0],
+     [[1, 1, 3], [2, 4, 4]], 4),
+)
+
+
+def with_run_cases(test):
+    """Add every RUN_CASES point and schedule as an explicit example."""
+    for x, schedule, _, _ in RUN_CASES:
+        test = example(x, schedule)(test)
+    return test
+
+
 class TestAgainstLinearScans:
     @given(point_and_bases())
     @example((Point(), F(2), F(1, 2)))
@@ -303,6 +381,79 @@ class TestAgainstOracle:
     @settings(max_examples=300, deadline=None)
     def test_first_failing_n(self, x, schedule):
         assert first_failing_n(x, schedule) == oracle_first_failing_n(x, schedule)
+
+
+class TestRunsOfConstantM:
+    """`first_failing_n` tests each run of constant m_n at its last index and
+    bisects inside the one that fails; the scan tests every index."""
+
+    @given(st.one_of(run_points(), decaying_points()), st.sampled_from(SCHEDULES))
+    @with_run_cases
+    @settings(max_examples=500, deadline=None)
+    def test_against_scan_and_oracle(self, x, schedule):
+        expected = scan_first_failing_n(x, schedule)
+        assert first_failing_n(x, schedule) == expected
+        assert oracle_first_failing_n(x, schedule) == expected
+
+    def test_run_cases(self):
+        for x, schedule, runs, failing in RUN_CASES:
+            assert runs_of_m(x, schedule) == runs
+            assert first_failing_n(x, schedule) == scan_first_failing_n(x, schedule) == failing
+
+    def test_prefix_sums_one_unit_either_side_of_alpha_4(self):
+        # the last two RUN_CASES points: numerators over D = 37 with prefix
+        # sums 176^2 = floor(alpha_4^2 * D^2) and 176^2 + 1
+        alpha4 = SCHEDULES[0].pair_at(4).alpha.base
+        floor_alpha_sq = isqrt(alpha4.numerator * 37 ** 4 // alpha4.denominator)
+        assert floor_alpha_sq == 176 ** 2
+        below, above = RUN_CASES[-2][0], RUN_CASES[-1][0]
+        assert below._den == above._den == 37
+        assert below._prefix_sq[0] == floor_alpha_sq
+        assert above._prefix_sq[1] == floor_alpha_sq + 1
+
+
+def pair_lookups(call):
+    """call()'s result and the number of `Schedule.pair_at` lookups it made."""
+    _cached_pair.cache_clear()
+    result = call()
+    info = _cached_pair.cache_info()
+    return result, info.hits + info.misses
+
+
+def lookup_bound(x: Point, schedule: Schedule) -> float:
+    """4 * (|support| + log2 cutoff): one run per support position and one
+    bisection, with room to spare, whatever the coordinates' values."""
+    return 4 * (len(x.support) + log2(schedule.least_n_with_alpha_above(x.norm_sq())))
+
+
+class TestCostByRuns:
+    """The number of threshold pairs that deciding O looks up grows with the
+    support and the bit length of the cutoff, not with the cutoff itself."""
+
+    def test_thirty_digit_coordinate(self):
+        x = Point({1: F(10 ** 30), 5: F(1, 3)})
+        failing, lookups = pair_lookups(lambda: first_failing_n(x, SCHEDULES[0]))
+        assert failing == 5 == scan_first_failing_n(x, SCHEDULES[0])
+        assert lookups <= lookup_bound(x, SCHEDULES[0])
+
+    def test_witness_at_m_star_1414215(self):
+        schedule = SCHEDULES[0]
+        v = VSpec(F(1, 10 ** 6), ray_source())
+        record, lookups = pair_lookups(lambda: construct_witness(v, schedule))
+        assert record.m_star == 1414215
+        assert record.failing_n == record.m_star
+        assert all(check["holds"] for check in record.checks)
+        assert lookups <= lookup_bound(record.z, schedule)
+
+    def test_check_set_O_on_a_large_coordinate(self, capsys, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"coords": {"1": "100000"}}))
+        (code, out, _), lookups = pair_lookups(lambda: run_cli(
+            capsys, "check", "--point", str(path), "--set", "O", "--schedule", "default"))
+        assert code == 0
+        document = json.loads(out)
+        assert document["member"] and document["trace"]["alpha_cutoff"] == 84090
+        assert lookups <= lookup_bound(Point({1: F(10 ** 5)}), SCHEDULES[0])
 
 
 class TestExactBoundaries:
