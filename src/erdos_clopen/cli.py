@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -107,6 +108,19 @@ def _parse_json_int(text: str) -> int:
     # main lifts the interpreter's own limit, so inputs keep the project's
     if len(text.lstrip("-")) > MAX_DIGITS:
         raise ValueError(f"invalid JSON integer: more than {MAX_DIGITS} digits")
+    return int(text)
+
+
+# [0-9], not int(): int() also takes "1_000", " 7" and other scripts' digits
+_INT_RE = re.compile(r"[+-]?[0-9]+")
+
+
+def _parse_int(text: str) -> int:
+    """An integer flag in ASCII digits, at most MAX_DIGITS of them."""
+    if not _INT_RE.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid integer: {text!r} (expected ASCII digits)")
+    if len(text.lstrip("+-")) > MAX_DIGITS:
+        raise argparse.ArgumentTypeError(f"invalid integer: more than {MAX_DIGITS} digits")
     return int(text)
 
 
@@ -259,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     radius = sub.add_parser("radius", help="emit a radius certificate")
     radius.add_argument("--point", required=True, metavar="P.json")
     radius.add_argument("--kind", required=True, choices=("closed", "open", "o-open"))
-    radius.add_argument("--den-cap", type=int, default=DEFAULT_DEN_CAP,
+    radius.add_argument("--den-cap", type=_parse_int, default=DEFAULT_DEN_CAP,
                         metavar="N", help="denominator cap for the bound")
     add_pair_flags(radius)
     add_schedule_flag(radius)
@@ -283,14 +297,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run the claim-verification suite")
     verify.add_argument("--claims", default="1,2,3,4,5,remark")
-    verify.add_argument("--samples", type=int, default=10000, metavar="N")
-    verify.add_argument("--seed", type=int, default=42, metavar="K")
-    verify.add_argument("--inner", type=int, default=16, metavar="M",
+    verify.add_argument("--samples", type=_parse_int, default=10000, metavar="N")
+    verify.add_argument("--seed", type=_parse_int, default=42, metavar="K")
+    verify.add_argument("--inner", type=_parse_int, default=16, metavar="M",
                         help="perturbations per certified radius")
-    verify.add_argument("--max-support", type=int, default=6)
-    verify.add_argument("--max-index", type=int, default=12)
-    verify.add_argument("--max-numerator", type=int, default=8)
-    verify.add_argument("--max-denominator", type=int, default=8)
+    verify.add_argument("--max-support", type=_parse_int, default=6)
+    verify.add_argument("--max-index", type=_parse_int, default=12)
+    verify.add_argument("--max-numerator", type=_parse_int, default=8)
+    verify.add_argument("--max-denominator", type=_parse_int, default=8)
     verify.add_argument("--timings", action="store_true",
                         help="fill elapsed_ms (breaks byte-determinism)")
     verify.add_argument("--report", metavar="R.json")

@@ -14,14 +14,16 @@ A positive rational s compares to base^(1/d) exactly as s^d compares to
 base. Any other operand is put in canonical form once, by `_Value.of`
 (integer radicands, rationally dependent root terms merged; radicals in
 distinct classes are linearly independent over the rationals, so the zero
-test is exact), and an order decision is the sign of one difference of
-two canonical forms. Each value has one integer enclosure lo/den < value
-< hi/den, whose root bounds come from integer square roots and which
+test is exact). Each value has one integer enclosure lo/den < value <
+hi/den, whose root bounds come from integer square roots and which
 `_Value.settle` refines by doubling its precision until a decision holds
-at both ends. The two choices are made by integer continued fractions on
-the ends of that enclosure: a Stern-Brocot walk whose steps are quotients
-of integers, and the simplest-rational recursion over partial quotients.
-No floating point is involved anywhere.
+at both ends. An order is read from the two operands' enclosures; only
+when they overlap is the merged difference of the two canonical forms
+built and its sign, zero test included, decided exactly. The two choices
+are made by integer continued fractions on the ends of a value's
+enclosure: a Stern-Brocot walk whose steps are quotients of integers, and
+the simplest-rational recursion over partial quotients. No floating point
+is involved anywhere.
 
 `Fraction` is the rational type of the public API; it already maintains
 the canonical form (positive denominator, gcd 1).
@@ -207,8 +209,9 @@ class RootExpr:
     def __init__(self, terms: Iterable[Term]):
         cleaned = []
         for coef, root in terms:
-            coef = Fraction(coef)
-            if coef == 0:
+            if type(coef) is not Fraction:
+                coef = Fraction(coef)
+            if not coef:
                 continue
             if root is not None and not isinstance(root, RootValue):
                 raise TypeError(f"expected RootValue, got {type(root).__name__}")
@@ -223,16 +226,16 @@ class RootExpr:
         if isinstance(value, RootExpr):
             return value
         if isinstance(value, RootValue):
-            return cls([(Fraction(1), value)])
-        return cls([(Fraction(value), None)])
+            return cls([(1, value)])
+        return cls([(value, None)])
 
     @classmethod
     def of_rational(cls, value: Fraction) -> "RootExpr":
-        return cls([(Fraction(value), None)])
+        return cls([(value, None)])
 
     @classmethod
     def of_root(cls, coef: Fraction, root: RootValue) -> "RootExpr":
-        return cls([(Fraction(coef), root)])
+        return cls([(coef, root)])
 
     def __add__(self, other: ExprLike) -> "RootExpr":
         other = RootExpr.coerce(other)
@@ -317,8 +320,10 @@ class _Value:
                 rational += coef
             else:
                 p, q = root.base.numerator, root.base.denominator
-                roots.append((coef / q, p * q ** (root.degree - 1), root.degree))
-        return cls(rational, _merge_dependent(roots))
+                if q != 1:
+                    coef, p = coef / q, p * q ** (root.degree - 1)
+                roots.append((coef, p, root.degree))
+        return cls(rational, _merge_dependent(roots) if len(roots) > 1 else tuple(roots))
 
     def __sub__(self, other: "_Value") -> "_Value":
         """self - other; the classes of both sides merge again, because one
@@ -402,6 +407,23 @@ def _merge_dependent(roots: list[tuple[Fraction, int, int]],
     return tuple((c, n, d) for c, n, d in merged if c != 0)
 
 
+def _order(a: _Value, b: _Value) -> int:
+    """The sign of a - b: -1, 0 or +1.
+
+    The ends of an enclosure are strict bounds (lo == hi only for a
+    rational), so when the two enclosures at _START_BITS are disjoint they
+    decide a strict order at once. Only overlapping enclosures, of equal or
+    very close values, build the merged difference and take its exact sign.
+    """
+    a_lo, a_hi, a_den = a.enclosure(_Value._START_BITS)
+    b_lo, b_hi, b_den = b.enclosure(_Value._START_BITS)
+    if a_hi * b_den < b_lo * a_den:
+        return -1
+    if b_hi * a_den < a_lo * b_den:
+        return 1
+    return (a - b).sign()
+
+
 def cmp_root_expr(lhs: ExprLike, rhs: ExprLike) -> Ordering:
     """Exact ordering of two signed sums of at most two terms each.
 
@@ -414,7 +436,7 @@ def cmp_root_expr(lhs: ExprLike, rhs: ExprLike) -> Ordering:
             raise UnsupportedFormError(
                 f"{side} has {len(expr.terms)} terms; at most two are supported")
         values.append(_Value.of(expr))
-    return Ordering((values[0] - values[1]).sign())
+    return Ordering(_order(*values))
 
 
 def expr_min(*exprs: ExprLike) -> RootExpr:
@@ -427,7 +449,7 @@ def expr_min(*exprs: ExprLike) -> RootExpr:
     for candidate in exprs[1:]:
         candidate = RootExpr.coerce(candidate)
         value = _Value.of(candidate)
-        if (value - best_value).sign() < 0:
+        if _order(value, best_value) < 0:
             best, best_value = candidate, value
     return best
 
@@ -472,7 +494,7 @@ def rational_in_interval(lo: ExprLike, hi: ExprLike) -> Fraction:
     lo >= hi.
     """
     lo_value, hi_value = _Value.of(lo), _Value.of(hi)
-    if (lo_value - hi_value).sign() >= 0:
+    if _order(lo_value, hi_value) >= 0:
         raise EmptyIntervalError(
             f"empty interval: lo {RootExpr.coerce(lo)!r} >= hi {RootExpr.coerce(hi)!r}")
 

@@ -371,6 +371,37 @@ class TestVerify:
         assert json.loads(out)[0]["elapsed_ms"] is not None
 
 
+class TestIntegerFlags:
+    """Integer flags take ASCII digits only, as rationals do: int() alone
+    once ran `--den-cap 1_000` with cap 1000, an Arabic-Indic 3 as 3 and
+    " 7" as 7."""
+
+    FLAGS = ["--den-cap", "--samples", "--seed", "--inner", "--max-support",
+             "--max-index", "--max-numerator", "--max-denominator"]
+
+    @staticmethod
+    def argv(point_file, flag, text):
+        if flag == "--den-cap":
+            p = point_file("p.json", {"1": "2/1", "2": "1/1"})
+            return ["radius", "--point", p, "--kind", "closed", flag, text]
+        return ["verify", "--claims", "1", "--samples", "1", flag, text]
+
+    @pytest.mark.parametrize("flag", FLAGS)
+    @pytest.mark.parametrize("text", ["1_000", "٣", " 7", "1" * 4301])
+    def test_loose_digits_exit_2(self, capsys, point_file, flag, text):
+        with pytest.raises(SystemExit) as exc:
+            main(self.argv(point_file, flag, text))
+        captured = capsys.readouterr()
+        assert exc.value.code == EXIT_INVALID and captured.out == ""
+        assert f"argument {flag}: invalid integer: " in captured.err
+
+    @pytest.mark.parametrize("flag", FLAGS)
+    def test_signed_ascii_digits_parse(self, capsys, point_file, flag):
+        code, out, err = run_cli(capsys, *self.argv(point_file, flag, "+7"))
+        assert code == EXIT_OK, err
+        assert json.loads(out)
+
+
 class TestOutputDiscipline:
     def test_pretty_env_toggles_indentation_only(self, capsys, point_file,
                                                  monkeypatch):

@@ -6,7 +6,7 @@ from math import gcd
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from erdos_clopen import exact
 from erdos_clopen.exact import (
@@ -27,6 +27,8 @@ from erdos_clopen.exact import (
     parse_rational,
     rational_in_interval,
 )
+from erdos_clopen.clopen import DEFAULT_SCHEDULE, openness_radius
+from erdos_clopen.space import Point
 
 import oracle
 
@@ -606,3 +608,149 @@ class TestPinnedSearchResults:
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == (
             "43cc5b6f38dfecbec4998962838deb4fcefe5b2348a292a03dde384a3ac99590")
+
+
+# The order step before it read the two enclosures first, kept verbatim as
+# the reference: every decision is the sign of one merged difference.
+
+def reference_cmp_root_expr(lhs, rhs):
+    values = []
+    for side, expr in (("lhs", RootExpr.coerce(lhs)), ("rhs", RootExpr.coerce(rhs))):
+        if len(expr.terms) > 2:
+            raise UnsupportedFormError(
+                f"{side} has {len(expr.terms)} terms; at most two are supported")
+        values.append(exact._Value.of(expr))
+    return Ordering((values[0] - values[1]).sign())
+
+
+def reference_expr_min(*exprs):
+    if not exprs:
+        raise ValueError("expr_min needs at least one expression")
+    best = RootExpr.coerce(exprs[0])
+    best_value = exact._Value.of(best)
+    for candidate in exprs[1:]:
+        candidate = RootExpr.coerce(candidate)
+        value = exact._Value.of(candidate)
+        if (value - best_value).sign() < 0:
+            best, best_value = candidate, value
+    return best
+
+
+def reference_rational_in_interval(lo, hi):
+    lo_value, hi_value = exact._Value.of(lo), exact._Value.of(hi)
+    if (lo_value - hi_value).sign() >= 0:
+        raise EmptyIntervalError(
+            f"empty interval: lo {RootExpr.coerce(lo)!r} >= hi {RootExpr.coerce(hi)!r}")
+
+    def choose(lo_lo, lo_hi, lo_den, hi_lo, hi_hi, hi_den):
+        inner = exact._simplest_between(lo_hi, lo_den, hi_lo, hi_den)
+        return inner if inner == exact._simplest_between(lo_lo, lo_den, hi_hi, hi_den) else None
+
+    return exact._Value.settle(choose, lo_value, hi_value)
+
+
+def near(expr: RootExpr, target: F, above: bool) -> RootExpr:
+    """target + (expr - p/q), p/q the lower or upper end of expr's 96-bit
+    enclosure: an irrational two-term value within 2^-90 of target, on the
+    given side, so its 64-bit enclosure overlaps target's and that of any
+    other such value."""
+    lo, hi, den = exact._Value.of(expr).enclosure(96)
+    return rat(target - F(lo if above else hi, den)) + expr
+
+
+# dependent radicals (sqrt(8) = 2*sqrt(2), sqrt(1/2) = sqrt(2)/2,
+# 32^(1/4) = 2*2^(1/4)), so equal values written differently come up often
+ORDER_COEFS = st.sampled_from([F(-2), F(-1), F(1, 2), F(1), F(2), F(4)])
+ORDER_ROOTS = st.sampled_from([(2, 2), (8, 2), (F(1, 2), 2), (3, 2), (2, 4), (32, 4)])
+root_terms = st.builds(lambda coef, spec: RootExpr.of_root(coef, root(*spec)),
+                       ORDER_COEFS, ORDER_ROOTS)
+plain_terms = st.builds(rat, st.sampled_from([F(0), F(1), F(-1, 2), F(3, 2), F(2)]))
+order_exprs = st.one_of(
+    plain_terms,
+    root_terms,
+    st.builds(lambda a, b: a + b, plain_terms | root_terms, root_terms),
+    st.builds(near, root_terms, st.sampled_from([F(0), F(1, 3), F(1)]), st.booleans()),
+)
+
+
+def oracle_order(lhs, rhs):
+    """'lt'/'gt' from the interval oracle, None for equal values."""
+    return oracle.cmp_exprs(oracle.terms_of_expr(RootExpr.coerce(lhs)),
+                            oracle.terms_of_expr(RootExpr.coerce(rhs)), max_dps=400)
+
+
+ORACLE = {Ordering.LESS: "lt", Ordering.EQUAL: None, Ordering.GREATER: "gt"}
+
+
+class TestOrderFromEnclosures:
+    @given(order_exprs, order_exprs)
+    @settings(max_examples=400, deadline=None)
+    @example(rat(F(1, 3)), near(RootExpr.of_root(F(1), root(2, 2)), F(1, 3), True))
+    @example(near(RootExpr.of_root(F(1), root(3, 2)), F(1, 3), False),
+             near(RootExpr.of_root(F(1), root(2, 4)), F(1, 3), True))
+    @example(RootExpr.of_root(F(1), root(8, 2)), RootExpr.of_root(F(2), root(2, 2)))
+    def test_cmp_root_expr_matches_reference_and_oracle(self, lhs, rhs):
+        got = cmp_root_expr(lhs, rhs)
+        assert got == reference_cmp_root_expr(lhs, rhs)
+        assert ORACLE[got] == oracle_order(lhs, rhs)
+
+    @given(st.lists(order_exprs, min_size=1, max_size=5))
+    @settings(max_examples=300, deadline=None)
+    @example([RootExpr.of_root(F(1), root(8, 2)), RootExpr.of_root(F(2), root(2, 2))])
+    @example([rat(F(1, 3)), near(RootExpr.of_root(F(1), root(2, 2)), F(1, 3), False),
+              near(RootExpr.of_root(F(2), root(8, 2)), F(1, 3), False)])
+    def test_expr_min_matches_reference_and_oracle(self, candidates):
+        best = expr_min(*candidates)
+        assert best is reference_expr_min(*candidates)  # the first of equal minima
+        first = next(i for i, candidate in enumerate(candidates) if candidate is best)
+        for i, candidate in enumerate(candidates):
+            order = oracle_order(candidate, best)
+            assert order == "gt" if i < first else order != "lt"
+
+    @given(order_exprs, order_exprs)
+    @settings(max_examples=300, deadline=None)
+    @example(rat(F(1, 3)), near(RootExpr.of_root(F(1), root(2, 2)), F(1, 3), True))
+    @example(near(RootExpr.of_root(F(1), root(2, 2)), F(1, 3), True), rat(F(1, 3)))
+    @example(RootExpr.of_root(F(1), root(32, 4)), RootExpr.of_root(F(2), root(2, 4)))
+    def test_rational_in_interval_matches_reference_and_oracle(self, lo, hi):
+        try:
+            expected = reference_rational_in_interval(lo, hi)
+        except EmptyIntervalError:
+            with pytest.raises(EmptyIntervalError):
+                rational_in_interval(lo, hi)
+            assert oracle_order(lo, hi) != "lt"
+            return
+        got = rational_in_interval(lo, hi)
+        assert got == expected
+        assert oracle_order(lo, rat(got)) == "lt" and oracle_order(rat(got), hi) == "lt"
+
+
+class TestOrderCounts:
+    """How many merged differences an order decision builds, counted by
+    wrapping `_Value.__sub__`: a count, not a timing."""
+
+    @pytest.fixture()
+    def subtractions(self, monkeypatch):
+        calls = []
+        subtract = exact._Value.__sub__
+
+        def counted(self, other):
+            calls.append(other)
+            return subtract(self, other)
+
+        monkeypatch.setattr(exact._Value, "__sub__", counted)
+        return calls
+
+    def test_separated_certificate_components_build_no_difference(self, subtractions):
+        cert = openness_radius(Point({1: F(1), 2: F(1), 3: F(1, 3)}),
+                               DEFAULT_SCHEDULE.pair_at(1))
+        components = [cert.components[key] for key in ("prefix_margin", "beta_half", "h", "a")]
+        del subtractions[:]
+        best = expr_min(*components)
+        assert len(subtractions) == 0
+        assert best is components[3]  # a = alpha - sqrt(P_1), about 0.189
+
+    def test_dependent_radicals_build_one_difference(self, subtractions):
+        order = cmp_root_expr(root(8, 2), RootExpr.of_root(F(2), root(2, 2)))
+        assert order == Ordering.EQUAL
+        assert len(subtractions) == 1
