@@ -238,8 +238,17 @@ def _cmd_verify(args) -> int:
     return suite_exit_status(reports)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line in one line, as every other input
+    error is reported, with no usage block; subparsers are built by the
+    same class."""
+
+    def error(self, message):
+        self.exit(EXIT_INVALID, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="erdos-clopen",
         description=(
             "Exact membership checks, neighborhood-radius certificates, and "

@@ -27,11 +27,11 @@ from typing import Optional
 from .exact import (
     RootExpr,
     RootValue,
-    expr_min,
     floor_root,
     format_rational,
     is_rational_power,
     largest_rational_at_most,
+    largest_rational_at_most_min,
     parse_rational,
 )
 from .space import Point, _m_position, m_index
@@ -131,10 +131,13 @@ class Schedule:
         return _cached_pair(self._scales, n)
 
     def least_n_with_alpha_above(self, norm_sq: Fraction) -> int:
-        """Least n with norm_sq < alpha_n^2, i.e. n^4 > norm_sq^2 / (2*a^4)
-        (equality cannot occur), computed in the integers of norm_sq = p/q
-        and a = alpha_scale = u/v."""
-        p, q = norm_sq.numerator, norm_sq.denominator
+        """Least n with norm_sq < alpha_n^2 (`_least_n_alpha_above`)."""
+        return self._least_n_alpha_above(norm_sq.numerator, norm_sq.denominator)
+
+    def _least_n_alpha_above(self, p: int, q: int) -> int:
+        """Least n with p/q < alpha_n^2 for integers p >= 0 and q > 0, i.e.
+        n^4 > p^2 / (2*a^4*q^2) (equality cannot occur), computed in the
+        integers of p/q, in lowest terms or not, and a = alpha_scale = u/v."""
         u, v, _, _ = self._scales
         return floor_root(p * p * v ** 4 // (2 * u ** 4 * q * q), 4) + 1
 
@@ -256,9 +259,10 @@ def _violation_past(x: Point, pair: AlphaBetaPair, pos: int) -> Optional[int]:
 def in_O(x: Point, schedule: Schedule) -> bool:
     """Membership in the schedule intersection, decided finitely.
 
-    For n >= N(x) (the least n with norm_sq < alpha_n^2) membership in the
-    n-th set is automatic because the whole point lies inside the alpha_n
-    ball, so only n < N(x) need an explicit check (`first_failing_n`).
+    Once the whole point lies inside the alpha_n ball, membership in the
+    n-th set and every later one is automatic, so only the indices before
+    the first such n need an explicit check (`first_failing_n`); a point
+    inside the alpha_1 ball is decided by one product, with no root.
     """
     return first_failing_n(x, schedule) is None
 
@@ -266,31 +270,40 @@ def in_O(x: Point, schedule: Schedule) -> bool:
 def first_failing_n(x: Point, schedule: Schedule) -> Optional[int]:
     """Least schedule index whose A-set excludes x; None when x is in O.
 
-    Only n below the cutoff N(x) can fail, and each such n has an m_n.
     alpha_n increases, so m_n's support position pos never decreases and
     stays the same for every n before the least n with alpha_n^2 above the
-    prefix sum at pos: the indices below N(x) split into runs of constant
-    m_n, at most one per support position. Inside a run beta_n decreases,
-    so x leaves A_n from some n on, if at all: testing the run's last
-    index decides it, and one bisection finds its first failing index.
-    Across runs there is no such order (a later m_n leaves fewer
-    coordinates to test), so every run is tested in turn; the run at the
-    last position never fails, since no coordinate follows its m_n.
+    prefix sum at pos: the schedule indices split into runs of constant
+    m_n, at most one per support position, and end at the first n with no
+    m_n, where the whole norm is below alpha_n and x is in A_n and every
+    later A-set; `_m_position` finds that n with one product and no root.
+    Inside a run beta_n decreases, so x leaves A_n from some n on, if at
+    all: testing the run's last index decides it, a doubling search from
+    the run's first index brackets the first failing index, and one
+    bisection finds it. Across runs there is no such order (a later m_n
+    leaves fewer coordinates to test), so every run is tested in turn; the
+    run at the last position never fails, since no coordinate follows its
+    m_n.
     """
-    cutoff = schedule.least_n_with_alpha_above(x.norm_sq())
     last = len(x.support) - 1
     n = 1
-    while n < cutoff:
+    while True:
         pair = schedule.pair_at(n)
         pos = _m_position(x, pair.alpha)
+        if pos >= last:  # no m_n, or no coordinate after it
+            return None
         if _violation_past(x, pair, pos) is not None:
             return n
-        if pos == last or n + 1 == cutoff:
-            return None
-        end = schedule.least_n_with_alpha_above(Fraction(x._prefix_sq[pos], x._den_sq))
+        end = schedule._least_n_alpha_above(x._prefix_sq[pos], x._den_sq)
         passing, failing = n, end - 1
         if failing > passing and _violation_past(x, schedule.pair_at(failing),
                                                  pos) is not None:
+            step = 1
+            while n + step < failing:
+                if _violation_past(x, schedule.pair_at(n + step), pos) is not None:
+                    failing = n + step
+                    break
+                passing = n + step
+                step *= 2
             while failing - passing > 1:
                 mid = (passing + failing) // 2
                 if _violation_past(x, schedule.pair_at(mid), pos) is None:
@@ -299,7 +312,6 @@ def first_failing_n(x: Point, schedule: Schedule) -> Optional[int]:
                     failing = mid
             return failing
         n = end
-    return None
 
 
 def closedness_radius(z: Point, pair: AlphaBetaPair,
@@ -318,10 +330,9 @@ def closedness_radius(z: Point, pair: AlphaBetaPair,
     m = z.support[pos]
     coord_margin = RootExpr.of_rational(abs(z.coordinate(l0))) - pair.beta_expr()
     prefix_margin = sqrt_expr(z.prefix_norm_sq(m)) - pair.alpha_expr()
-    radius = expr_min(coord_margin, prefix_margin)
     return RadiusCertificate(
         kind=CertificateKind.CLAIM2_R0,
-        bound=largest_rational_at_most(radius, den_cap),
+        bound=largest_rational_at_most_min((coord_margin, prefix_margin), den_cap),
         components={
             "m": m,
             "l0": l0,
@@ -389,10 +400,10 @@ def openness_radius(x: Point, pair: AlphaBetaPair,
         a_expr = pair.alpha_expr() - sqrt_expr(x.prefix_norm_sq(m - 1))
 
     prefix_margin = sqrt_expr(x.prefix_norm_sq(m)) - pair.alpha_expr()
-    radius = expr_min(prefix_margin, beta_half, h_expr, a_expr)
     return RadiusCertificate(
         kind=CertificateKind.CLAIM3_R,
-        bound=largest_rational_at_most(radius, den_cap),
+        bound=largest_rational_at_most_min((prefix_margin, beta_half, h_expr, a_expr),
+                                           den_cap),
         components={
             "m": m,
             "l0": l0,

@@ -21,9 +21,12 @@ at both ends. An order is read from the two operands' enclosures; only
 when they overlap is the merged difference of the two canonical forms
 built and its sign, zero test included, decided exactly. The two choices
 are made by integer continued fractions on the ends of a value's
-enclosure: a Stern-Brocot walk whose steps are quotients of integers, and
-the simplest-rational recursion over partial quotients. No floating point
-is involved anywhere.
+enclosure: a Stern-Brocot walk from the lower end whose steps are
+quotients of integers, checked against the upper end by one product with
+the walk's Farey successor, and the simplest-rational recursion over
+partial quotients. A certificate's bound below a minimum is read off the
+canonical form and enclosure the minimum's comparisons already built. No
+floating point is involved anywhere.
 
 `Fraction` is the rational type of the public API; it already maintains
 the canonical form (positive denominator, gcd 1).
@@ -442,6 +445,11 @@ def cmp_root_expr(lhs: ExprLike, rhs: ExprLike) -> Ordering:
 def expr_min(*exprs: ExprLike) -> RootExpr:
     """The minimum of the given expressions, decided exactly; the first of
     any equal minima."""
+    return _min(exprs)[0]
+
+
+def _min(exprs: tuple[ExprLike, ...]) -> tuple[RootExpr, _Value]:
+    """`expr_min` of exprs and the canonical form its comparisons built."""
     if not exprs:
         raise ValueError("expr_min needs at least one expression")
     best = RootExpr.coerce(exprs[0])
@@ -451,7 +459,7 @@ def expr_min(*exprs: ExprLike) -> RootExpr:
         value = _Value.of(candidate)
         if _order(value, best_value) < 0:
             best, best_value = candidate, value
-    return best
+    return best, best_value
 
 
 def _simplest_between(xp: int, xq: int, yp: int, yq: int) -> Optional[Fraction]:
@@ -506,14 +514,19 @@ def rational_in_interval(lo: ExprLike, hi: ExprLike) -> Fraction:
     return _Value.settle(choose, lo_value, hi_value)
 
 
-def _floor_approx(p: int, q: int, cap: int) -> tuple[int, int]:
-    """Largest a/b <= p/q with 1 <= b <= cap (q > 0), as coprime (a, b).
+def _floor_approx(p: int, q: int, cap: int) -> tuple[int, int, int, int]:
+    """Largest a/b <= p/q with 1 <= b <= cap (q > 0), as coprime (a, b),
+    and e/f, the least rational above a/b with 1 <= f <= cap.
 
     Walks the Stern-Brocot tree between neighbouring fences a/b <= p/q <
     c/d, moving one fence per step as far as it stays on its side of p/q
     (the lower one no further than the cap allows). Once b + d exceeds the
     cap, every rational strictly between the fences has a denominator above
-    it, so a/b is the answer.
+    it, so a/b is the answer. The fences stay Farey neighbours (bc - ad =
+    1), and the rationals x/y with bx - ay = 1 are (c + ka)/(d + kb) for
+    integers k; the successor e/f of a/b among denominators <= cap is the
+    one with the largest such denominator, k = (cap - d) // b (negative
+    when the upper fence's denominator exceeds the cap).
     """
     a, b = p // q, 1
     c, d = a + 1, 1
@@ -529,28 +542,39 @@ def _floor_approx(p: int, q: int, cap: int) -> tuple[int, int]:
         else:
             k = (above - 1) // below  # (c + ka)/(d + kb) > p/q
             c, d = c + k * a, d + k * b
-    return a, b
+    k = (cap - d) // b
+    return a, b, c + k * a, d + k * b
 
 
 def largest_rational_at_most(value: ExprLike, den_cap: int) -> Fraction:
     """Largest p/q <= value with 1 <= q <= den_cap, for positive values.
 
-    For an enclosure lo <= value <= hi, the answers for lo and for hi agree
-    only when no rational with denominator at most den_cap lies in (lo, hi],
-    and then their common answer is the value's. If that answer is 0 (the
+    For an enclosure lo <= value <= hi, the answer a/b for lo is the
+    value's when no rational with denominator at most den_cap lies in
+    (lo, hi], that is when hi lies below a/b's successor among those
+    rationals: one walk from lo and one product. If that answer is 0 (the
     value lies below 1/den_cap), returns 1/q for the least q with
     1/q <= value, deliberately exceeding the cap so the result stays
-    positive; that q is ceil(1/value), again read off both ends.
+    positive; that q is ceil(1/value), read off both ends.
     """
+    return _largest_at_most(_Value.of(value), den_cap)
+
+
+def largest_rational_at_most_min(exprs: tuple[ExprLike, ...], den_cap: int) -> Fraction:
+    """largest_rational_at_most(expr_min(*exprs), den_cap), reading the
+    bound off the canonical form and enclosure the minimum already built."""
+    return _largest_at_most(_min(exprs)[1], den_cap)
+
+
+def _largest_at_most(val: _Value, den_cap: int) -> Fraction:
     if den_cap < 1:
         raise ValueError(f"den_cap must be >= 1, got {den_cap}")
-    val = _Value.of(value)
     if val.sign() <= 0:
         raise ValueError("largest_rational_at_most expects a positive value")
 
     def choose(lo: int, hi: int, den: int) -> Optional[Fraction]:
-        a, b = _floor_approx(lo, den, den_cap)
-        if (a, b) != _floor_approx(hi, den, den_cap):
+        a, b, e, f = _floor_approx(lo, den, den_cap)
+        if hi * f >= e * den:
             return None
         if a > 0:
             return Fraction(a, b)

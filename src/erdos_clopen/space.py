@@ -17,7 +17,9 @@ allocating Fractions. `entries` derives the `(index, Fraction)` pairs on
 request.
 
 The prefix sums strictly increase, so the first-exceedance index for alpha
-is one integer root and one bisection on them (`_m_position`).
+is found on them by `_m_position`: one product against the whole norm
+decides that there is none, and otherwise one integer root and one
+bisection find it.
 """
 
 from __future__ import annotations
@@ -215,11 +217,20 @@ def _m_position(x: Point, alpha: RootValue) -> int:
     len(x.support) when there is none.
 
     With alpha^4 = bn/bd and prefix sums P over D^2, P/D^2 > alpha^2 iff
-    P^2 * bd > bn * D^4 iff P > isqrt(bn * D^4 // bd) (P is an integer), and
-    the prefix sums strictly increase, so one bisection finds the first.
+    P^2 * bd > bn * D^4 (equality is impossible: alpha^2 is irrational).
+    The last prefix sum is the whole norm: when it stays below, there is
+    no m and one product decides it. Otherwise P/D^2 > alpha^2 iff P >
+    isqrt(bn * D^4 // bd) (P is an integer), and the prefix sums strictly
+    increase, so one bisection finds the first.
     """
     if alpha.degree != 4:
         raise ValueError(f"m_index needs a degree-4 threshold, got degree {alpha.degree}")
+    prefix = x._prefix_sq
+    if not prefix:
+        return 0
     base = alpha.base
-    d4 = x._den_sq * x._den_sq
-    return bisect_right(x._prefix_sq, isqrt(base.numerator * d4 // base.denominator))
+    target = base.numerator * x._den_sq * x._den_sq
+    last = prefix[-1]
+    if last * last * base.denominator < target:
+        return len(prefix)
+    return bisect_right(prefix, isqrt(target // base.denominator))

@@ -402,6 +402,38 @@ class TestIntegerFlags:
         assert json.loads(out)
 
 
+class TestUsageErrors:
+    """A malformed command line is one line of stderr and exit 2, as every
+    other input error is, with no usage block before it."""
+
+    @staticmethod
+    def stderr_of(capsys, *argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert exc.value.code == EXIT_INVALID and captured.out == ""
+        return captured.err
+
+    def test_loose_digits(self, capsys):
+        assert self.stderr_of(capsys, "verify", "--samples", "1_000") == (
+            "error: argument --samples: invalid integer: '1_000' (expected ASCII digits)\n")
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["bogus"],
+        ["check", "--point", "p.json", "--set", "B"],
+        ["radius", "--point", "p.json", "--kind", "half-open"],
+        ["check", "--set", "O"],
+        ["witness"],
+        ["verify", "--samples"],
+        ["verify", "--unknown"],
+    ])
+    def test_one_line(self, capsys, argv):
+        err = self.stderr_of(capsys, *argv)
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        assert "usage:" not in err
+
+
 class TestOutputDiscipline:
     def test_pretty_env_toggles_indentation_only(self, capsys, point_file,
                                                  monkeypatch):

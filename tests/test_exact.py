@@ -441,9 +441,12 @@ class TestIntegerHelpers:
             q = rng.randint(1, 10 ** rng.randint(1, 12))
             p = rng.randint(-3 * q, 50 * q)
             cap = rng.randint(1, 200)
-            a, b = exact._floor_approx(p, q, cap)
+            a, b, e, f = exact._floor_approx(p, q, cap)
             assert 1 <= b <= cap and gcd(a, b) == 1
             assert F(a, b) == max(F(p * d // q, d) for d in range(1, cap + 1))
+            # the successor: the least rational above a/b with denominator <= cap
+            assert 1 <= f <= cap and gcd(e, f) == 1
+            assert F(e, f) == min(F(a * d // b + 1, d) for d in range(1, cap + 1))
 
     @given(st.fractions(min_value=-30, max_value=30, max_denominator=40),
            st.fractions(min_value=-30, max_value=30, max_denominator=40))
@@ -754,3 +757,112 @@ class TestOrderCounts:
         order = cmp_root_expr(root(8, 2), RootExpr.of_root(F(2), root(2, 2)))
         assert order == Ordering.EQUAL
         assert len(subtractions) == 1
+
+
+# The bound search before it walked once from each end of an enclosure,
+# kept verbatim as the reference: an answer needs both walks to agree.
+
+def reference_floor_approx(p, q, cap):
+    a, b = p // q, 1
+    c, d = a + 1, 1
+    while b + d <= cap:
+        below = p * b - a * q  # bq * (p/q - a/b) >= 0
+        if not below:
+            break
+        above = c * q - p * d  # dq * (c/d - p/q) > 0
+        k = below // above  # (a + kc)/(b + kd) <= p/q
+        if k:
+            k = min(k, (cap - b) // d)
+            a, b = a + k * c, b + k * d
+        else:
+            k = (above - 1) // below  # (c + ka)/(d + kb) > p/q
+            c, d = c + k * a, d + k * b
+    return a, b
+
+
+def reference_largest_rational_at_most(value, den_cap):
+    if den_cap < 1:
+        raise ValueError(f"den_cap must be >= 1, got {den_cap}")
+    val = exact._Value.of(value)
+    if val.sign() <= 0:
+        raise ValueError("largest_rational_at_most expects a positive value")
+
+    def choose(lo, hi, den):
+        a, b = reference_floor_approx(lo, den, den_cap)
+        if (a, b) != reference_floor_approx(hi, den, den_cap):
+            return None
+        if a > 0:
+            return F(a, b)
+        if lo <= 0:
+            return None
+        q = -(-den // lo)
+        return F(1, q) if q == -(-den // hi) else None
+
+    return exact._Value.settle(choose, val)
+
+
+BOUND_CAPS = st.sampled_from([1, 2, 3, 7, 100, 1000, 10 ** 6])
+
+
+def positive_part(exprs):
+    """The expressions among exprs that are positive, each negated when
+    negative; zeros are dropped."""
+    signs = [cmp_root_expr(expr, rat(0)) for expr in exprs]
+    return [expr if sign == Ordering.GREATER else -expr
+            for expr, sign in zip(exprs, signs) if sign != Ordering.EQUAL]
+
+
+class TestOneWalkPerBound:
+    @given(order_exprs, BOUND_CAPS)
+    @settings(max_examples=400, deadline=None)
+    @example(near_third(above=True), 1000)
+    @example(near_third(above=False), 1000)
+    @example(near_third(above=False), 3)
+    @example(RootExpr.of_root(F(1, 1000), root(2, 2)), 100)  # below 1/cap
+    @example(rat(F(355, 113)), 100)
+    @example(rat(F(1, 3)), 3)  # the value's denominator is the cap
+    @example(rat(F(1, 2000)), 100)
+    def test_matches_two_walk_reference(self, expr, cap):
+        values = positive_part([expr])
+        if values:
+            value = values[0]
+            assert (largest_rational_at_most(value, cap)
+                    == reference_largest_rational_at_most(value, cap))
+
+    @given(st.lists(order_exprs, min_size=1, max_size=4), BOUND_CAPS)
+    @settings(max_examples=200, deadline=None)
+    @example([near_third(above=True), rat(F(1, 3))], 1000)
+    def test_bound_of_min_matches_reference(self, exprs, cap):
+        values = positive_part(exprs)
+        if values:
+            assert (exact.largest_rational_at_most_min(tuple(values), cap)
+                    == reference_largest_rational_at_most(expr_min(*values), cap))
+
+    @pytest.mark.parametrize("above", [True, False])
+    def test_one_walk_per_settle_round(self, monkeypatch, above):
+        settles = []  # [rounds, walks] per call of _Value.settle
+        settle, floor_approx = exact._Value.settle, exact._floor_approx
+
+        def counted_settle(choose, *values):
+            count = [0, 0]
+            settles.append(count)
+
+            def counted_choose(*ends):
+                count[0] += 1
+                return choose(*ends)
+
+            return settle(counted_choose, *values)
+
+        def counted_walk(*args):
+            settles[-1][1] += 1
+            return floor_approx(*args)
+
+        monkeypatch.setattr(exact._Value, "settle", staticmethod(counted_settle))
+        monkeypatch.setattr(exact, "_floor_approx", counted_walk)
+        # within 2^-66 of 1/3: the 2^-64 starting enclosure holds 1/3, so
+        # the bound takes more than one round; the sign takes one, no walk
+        got = largest_rational_at_most(near_third(above), 1000)
+        assert got == (F(1, 3) if above else F(333, 1000))
+        assert settles[0] == [1, 0]
+        rounds, walks = settles[-1]
+        assert rounds == walks >= 2 and len(settles) == 2

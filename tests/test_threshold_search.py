@@ -1,31 +1,38 @@
-"""The first-exceedance position and the beta test, decided by one integer
-root and one bisection each, the openness certificate's h, chosen by one
-integer comparison, and the first failing schedule index, found by runs of
-constant m, against the scans they replaced and against the interval
-oracle.
+"""The first-exceedance position, decided by one product when the whole
+norm stays below alpha and otherwise by one integer root and one
+bisection, the beta test, by one integer root, the openness certificate's
+h, chosen by one integer comparison, and the first failing schedule index,
+found by runs of constant m that end at the first index with no m, against
+the scans they replaced and against the interval oracle.
 
 The scans below are the earlier implementations, kept verbatim (on the
 point's integer internals) as independent references: one product per
 support position, no integer root, no bisection; h as the exact minimum
 of one expression per position up to l0; one `in_A` per schedule index
-below the cutoff.
+below the cutoff. So are the root-first position search and the run
+search bounded by an up-front cutoff root, which bisected a whole failing
+run (`reference_m_position`, `reference_first_failing_n`).
 """
 
 import json
+from bisect import bisect_right
 from fractions import Fraction as F
-from math import isqrt, log2
+from math import gcd, isqrt, log2
 from typing import Optional
 
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from erdos_clopen import clopen, exact, space
 from erdos_clopen.exact import (
     RootExpr,
     RootValue,
     expr_min,
+    floor_root,
     is_rational_power,
     largest_rational_at_most,
 )
-from erdos_clopen.space import Point, m_index
+from erdos_clopen.space import Point, _m_position, m_index, scale
 from erdos_clopen.clopen import (
     DEFAULT_DEN_CAP,
     AlphaBetaPair,
@@ -33,6 +40,7 @@ from erdos_clopen.clopen import (
     RadiusCertificate,
     Schedule,
     _cached_pair,
+    _violation_past,
     closedness_radius,
     first_failing_n,
     first_violating_index,
@@ -289,6 +297,10 @@ RUN_CASES = (
     # the first run (two indices) passes and only the next one fails
     (Point({2: F(-1), 5: F(5, 4), 7: F(-7, 9)}), SCHEDULES[1],
      [[2, 1, 2], [5, 3, 4]], 4),
+    # alpha_2^2 = 4*sqrt(2) ~ 5.66 < 25/4 and the norm < alpha_3^2 ~ 12.7:
+    # the run ends exactly at the cutoff 3, passing or failing at 2
+    (Point({1: F(5, 2), 2: F(1, 2)}), SCHEDULES[0], [[1, 1, 2]], None),
+    (Point({1: F(5, 2), 2: F(1)}), SCHEDULES[0], [[1, 1, 2]], 2),
     # D = 37 and floor(alpha_4^2 * D^2) = 176^2: the prefix sum 176^2 stays
     # below alpha_4^2 and m_4 moves on to 14/37, past which nothing is
     # tested; one unit more exceeds alpha_4^2 and 14/37 > beta_4 is tested
@@ -435,6 +447,25 @@ class TestCostByRuns:
         failing, lookups = pair_lookups(lambda: first_failing_n(x, SCHEDULES[0]))
         assert failing == 5 == scan_first_failing_n(x, SCHEDULES[0])
         assert lookups <= lookup_bound(x, SCHEDULES[0])
+        # the run of m = 1 is about 8 * 10^29 indices long; the doubling
+        # search from its first index brackets 5 at once (2, 3 pass, 5 fails)
+        assert lookups <= 12
+
+    @pytest.mark.parametrize("failing", [2, 3, 17, 1000, 10 ** 6, 10 ** 12])
+    def test_failing_index_deep_in_a_long_run(self, failing):
+        # beta_n = sqrt(2)/n, and c = sqrt(2)/(failing - 1/2) to 40 digits
+        # lies between beta_failing and beta_(failing - 1)
+        c = F(isqrt(8 * 10 ** 80), 10 ** 40 * (2 * failing - 1))
+        schedule = SCHEDULES[0]
+        x = Point({1: F(10 ** 30), 5: c})
+        found, lookups = pair_lookups(lambda: first_failing_n(x, schedule))
+        assert found == failing
+        assert in_A(x, schedule.pair_at(failing - 1))
+        assert not in_A(x, schedule.pair_at(failing))
+        assert lookups <= lookup_bound(x, schedule)
+        # the run's first and last index, then a doubling search and a
+        # bisection over the offset failing - 1, not over the run
+        assert lookups <= 2 * log2(failing) + 4
 
     def test_witness_at_m_star_1414215(self):
         schedule = SCHEDULES[0]
@@ -640,3 +671,163 @@ class TestOpennessH:
                         break
                 checked += found
         assert checked == 36
+
+
+# The position search and the run search before each compared first, kept
+# verbatim as references: a root for every threshold, and a cutoff root
+# that bounds the runs, each failing run bisected from its first index.
+
+def reference_m_position(x: Point, alpha: RootValue) -> int:
+    if alpha.degree != 4:
+        raise ValueError(f"m_index needs a degree-4 threshold, got degree {alpha.degree}")
+    base = alpha.base
+    d4 = x._den_sq * x._den_sq
+    return bisect_right(x._prefix_sq, isqrt(base.numerator * d4 // base.denominator))
+
+
+def reference_first_failing_n(x: Point, schedule: Schedule) -> Optional[int]:
+    cutoff = schedule.least_n_with_alpha_above(x.norm_sq())
+    last = len(x.support) - 1
+    n = 1
+    while n < cutoff:
+        pair = schedule.pair_at(n)
+        pos = reference_m_position(x, pair.alpha)
+        if _violation_past(x, pair, pos) is not None:
+            return n
+        if pos == last or n + 1 == cutoff:
+            return None
+        end = schedule.least_n_with_alpha_above(F(x._prefix_sq[pos], x._den_sq))
+        passing, failing = n, end - 1
+        if failing > passing and _violation_past(x, schedule.pair_at(failing),
+                                                 pos) is not None:
+            while failing - passing > 1:
+                mid = (passing + failing) // 2
+                if _violation_past(x, schedule.pair_at(mid), pos) is None:
+                    passing = mid
+                else:
+                    failing = mid
+            return failing
+        n = end
+    return None
+
+
+@st.composite
+def prefix_one_unit_from_alpha(draw):
+    """A point and alpha^4 = bn/bd with P_k^2 * bd = bn * D^4 - 1 or + 1
+    for a prefix sum P_k (the last one, the whole norm, half the time):
+    P_k/D^2 one unit below or above alpha^2 in the integers compared.
+    bd runs over several residues' lifts: P_k^2 * bd = -+1 mod D^4."""
+    x = draw(points(wide_coordinate).filter(lambda p: not p.is_zero()))
+    last = len(x.support) - 1
+    k = last if draw(st.booleans()) else draw(st.integers(0, last))
+    p, d4 = x._prefix_sq[k], x._den_sq * x._den_sq
+    assume(gcd(p, x._den) == 1)
+    sign = draw(st.sampled_from((1, -1)))
+    bd = (-sign * pow(p * p, -1, d4)) % d4 + d4 * draw(st.integers(1, 4))
+    bn = (p * p * bd + sign) // d4
+    assert bn * d4 == p * p * bd + sign
+    assume(bn > 0 and non_square(F(bn, bd)))
+    return x, F(bn, bd)
+
+
+@st.composite
+def run_end_at_cutoff(draw):
+    """A schedule and a point whose first coordinate r has r^2 between
+    alpha_(c-1)^2 and alpha_c^2 and whose whole norm stays below alpha_c^2:
+    its one run of constant m spans 1..c-1 and ends exactly at the
+    cutoff c."""
+    schedule = draw(st.sampled_from(SCHEDULES))
+    c = draw(st.integers(2, 60))
+    scale_n = 1000  # coordinates k / scale_n
+    a4 = 2 * schedule.alpha_scale ** 4 * scale_n ** 4  # alpha_n^4 * scale_n^4 = a4 * n^4
+    k_low = floor_root(a4 * (c - 1) ** 4, 4) + 1
+    k_high = floor_root(a4 * c ** 4, 4)  # never exact: a4 * c^4 is not a 4th power
+    assume(k_low <= k_high)
+    k = draw(st.integers(k_low, k_high))
+    total = k * k
+    entries = {1: F(k, scale_n)}
+    for index, j in enumerate(draw(st.lists(st.integers(1, scale_n), min_size=1,
+                                            max_size=6)), 2):
+        if (total + j * j) ** 2 < a4 * c ** 4:
+            total += j * j
+            entries[index] = F(j * draw(st.sampled_from((1, -1))), scale_n)
+    assume(len(entries) > 1)
+    x = Point(entries)
+    assert schedule.least_n_with_alpha_above(x.norm_sq()) == c
+    assert runs_of_m(x, schedule) == [[1, 1, c - 1]]
+    return x, schedule
+
+
+# the whole norm below alpha_1^2 = a^2 * sqrt(2) for every schedule here
+inside_alpha_1 = points(unit_coordinate).map(lambda p: scale(F(1, 1000), p))
+
+
+class TestCompareFirst:
+    """`_m_position` and `first_failing_n` against the root-first references."""
+
+    @given(st.one_of(point_and_bases().map(lambda case: case[:2]),
+                     prefix_one_unit_from_alpha()))
+    @example((Point(), F(2)))
+    @example((Point({1: F(1)}), F(2)))  # P^2 * bd = 1 = bn * D^4 - 1
+    @example((Point({1: F(1)}), F(1, 2)))  # P^2 * bd = 2 = bn * D^4 + 1
+    @example((Point({1: F(2), 2: F(1)}), F(26)))  # P = 5: 25 = 26 - 1
+    @example((Point({1: F(2), 2: F(1)}), F(24)))  # 25 = 24 + 1
+    @settings(max_examples=400, deadline=None)
+    def test_m_position_matches_reference(self, case):
+        x, alpha4 = case
+        alpha = RootValue(alpha4, 4)
+        pos = _m_position(x, alpha)
+        assert pos == reference_m_position(x, alpha)
+        m = scan_m_index(x, alpha)
+        assert pos == (len(x.support) if m is None else x.support.index(m))
+
+    @given(st.one_of(
+        st.tuples(st.one_of(run_points(), decaying_points(), inside_alpha_1),
+                  st.sampled_from(SCHEDULES)),
+        run_end_at_cutoff()))
+    @example((Point(), SCHEDULES[0]))
+    @example((Point({3: F(1, 2)}), SCHEDULES[0]))  # cutoff 1
+    @example((Point({1: F(5, 2), 2: F(1, 2)}), SCHEDULES[0]))  # run end = cutoff 3
+    @example((Point({1: F(5, 2), 2: F(1)}), SCHEDULES[0]))  # the same run fails at 2
+    @example((Point({1: F(10 ** 30), 5: F(1, 3)}), SCHEDULES[0]))
+    @settings(max_examples=400, deadline=None)
+    def test_first_failing_n_matches_reference(self, case):
+        x, schedule = case
+        expected = reference_first_failing_n(x, schedule)
+        assert first_failing_n(x, schedule) == expected
+        if schedule.least_n_with_alpha_above(x.norm_sq()) <= 200:
+            assert scan_first_failing_n(x, schedule) == expected
+
+
+class TestRootCounts:
+    """How many integer roots a decision takes, counted by wrapping `isqrt`
+    where the library calls it: a count, not a timing."""
+
+    @pytest.fixture()
+    def roots(self, monkeypatch):
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return isqrt(n)
+
+        for module in (space, clopen, exact):
+            monkeypatch.setattr(module, "isqrt", counted)
+        return calls
+
+    def test_m_position_below_alpha_takes_no_root(self, roots):
+        alpha = SCHEDULES[0].pair_at(1).alpha  # alpha^2 = sqrt(2)
+        below = Point({1: F(1), 4: F(-1, 3)})  # norm 10/9
+        assert _m_position(below, alpha) == 2
+        assert m_index(below, alpha) is None
+        assert roots == []
+        assert m_index(Point({1: F(1), 4: F(1)}), alpha) == 4  # norm 2: one root
+        assert len(roots) == 1
+
+    @pytest.mark.parametrize("schedule", SCHEDULES)
+    def test_in_O_inside_the_alpha_1_ball_takes_no_root(self, roots, schedule):
+        x = Point({2: F(1, 10), 7: F(-2, 7), 9: F(1, 5)})  # norm < 0.14
+        assert schedule.least_n_with_alpha_above(x.norm_sq()) == 1
+        del roots[:]
+        assert in_O(x, schedule)
+        assert roots == []
