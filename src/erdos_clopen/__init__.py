@@ -36,7 +36,6 @@ from .clopen import (
 from .witness import (
     InvalidEpsilonError,
     RefutationVerdict,
-    ScheduleExhaustedError,
     SourceFailureError,
     VSpec,
     WitnessCase,

@@ -41,7 +41,6 @@ from .clopen import (
 )
 from .witness import (
     InvalidEpsilonError,
-    ScheduleExhaustedError,
     SourceFailureError,
     VSpec,
     construct_witness,
@@ -68,7 +67,6 @@ _INPUT_ERRORS = (
     EmptyIntervalError,
     PreconditionViolatedError,
     SourceFailureError,
-    ScheduleExhaustedError,
     InvalidEpsilonError,
     InvalidParamsError,
     OSError,

@@ -9,6 +9,12 @@ finite-support point the intersection is decided by finitely many checks
 because once the whole norm drops below alpha_n the point is inside
 automatically.
 
+Every membership (m, A and O) is decided on integers: the point's
+numerators, prefix sums and denominator, the root values' base integers
+and, for O, the schedule's scale integers, from which `first_failing_n`
+jumps from one run of constant m to the next without building a
+threshold pair.
+
 Each certificate emitted here is a positive rational lower bound for one
 of the explicit neighborhood radii, certified by exact comparisons only,
 so samplers can exercise the open/closed character of the sets at desk
@@ -104,11 +110,13 @@ class Schedule:
     rational scaling constants a, b keep every side condition (the factor 2
     under the root can never be absorbed into a rational square), so
     validation reduces to positivity plus constructing the n=1 roots.
-    Every threshold comes from the cached `pair_at(n)`, built from the
-    integers (u, v, s, t) of a = u/v and b = s/t, read once into `_scales`;
-    each RootValue still re-checks its base. `_scales` is also the pair
-    cache's key: equal schedules have equal integers and share cache
-    entries; it takes no part in ==, hash or repr.
+    The integers (u, v, s, t) of a = u/v and b = s/t are read once into
+    `_scales`, from which O membership (`first_failing_n`) is decided
+    directly. Threshold pairs serve the certificates and witnesses only:
+    each comes from the cached `pair_at(n)`, built from `_scales`, and each
+    RootValue still re-checks its base. `_scales` is also the pair cache's
+    key: equal schedules have equal integers and share cache entries; it
+    takes no part in ==, hash or repr.
     """
 
     alpha_scale: Fraction = Fraction(1)
@@ -131,13 +139,10 @@ class Schedule:
         return _cached_pair(self._scales, n)
 
     def least_n_with_alpha_above(self, norm_sq: Fraction) -> int:
-        """Least n with norm_sq < alpha_n^2 (`_least_n_alpha_above`)."""
-        return self._least_n_alpha_above(norm_sq.numerator, norm_sq.denominator)
-
-    def _least_n_alpha_above(self, p: int, q: int) -> int:
-        """Least n with p/q < alpha_n^2 for integers p >= 0 and q > 0, i.e.
-        n^4 > p^2 / (2*a^4*q^2) (equality cannot occur), computed in the
-        integers of p/q, in lowest terms or not, and a = alpha_scale = u/v."""
+        """Least n with norm_sq < alpha_n^2, i.e. n^4 > p^2 / (2*a^4*q^2)
+        (equality cannot occur), computed in the integers of a nonnegative
+        rational norm_sq = p/q and a = alpha_scale = u/v."""
+        p, q = norm_sq.numerator, norm_sq.denominator
         u, v, _, _ = self._scales
         return floor_root(p * p * v ** 4 // (2 * u ** 4 * q * q), 4) + 1
 
@@ -235,7 +240,8 @@ def first_violating_index(x: Point, pair: AlphaBetaPair) -> Optional[int]:
     m's position in the support is one bisection (`space._m_position`),
     and the coordinates after it are tested by `_violation_past`.
     """
-    return _violation_past(x, pair, _m_position(x, pair.alpha))
+    alpha = pair.alpha
+    return _violation_past(x, pair, _m_position(x, alpha.num, alpha.den))
 
 
 def _violation_past(x: Point, pair: AlphaBetaPair, pos: int) -> Optional[int]:
@@ -248,8 +254,8 @@ def _violation_past(x: Point, pair: AlphaBetaPair, pos: int) -> Optional[int]:
     nums = x._nums
     if pos + 1 >= len(nums):
         return None
-    beta_sq = pair.beta_sq
-    bound = isqrt(beta_sq.numerator * x._den_sq // beta_sq.denominator)
+    beta = pair.beta
+    bound = isqrt(beta.num * x._den_sq // beta.den)
     for k in range(pos + 1, len(nums)):
         if abs(nums[k]) > bound:
             return x.support[k]
@@ -257,12 +263,11 @@ def _violation_past(x: Point, pair: AlphaBetaPair, pos: int) -> Optional[int]:
 
 
 def in_O(x: Point, schedule: Schedule) -> bool:
-    """Membership in the schedule intersection, decided finitely.
-
-    Once the whole point lies inside the alpha_n ball, membership in the
-    n-th set and every later one is automatic, so only the indices before
-    the first such n need an explicit check (`first_failing_n`); a point
-    inside the alpha_1 ball is decided by one product, with no root.
+    """Membership in the schedule intersection, decided finitely and in
+    integers by `first_failing_n`: once the whole point lies inside the
+    alpha_n ball, membership in the n-th set and every later one is
+    automatic, so a point inside the alpha_1 ball is decided by one
+    product, with no root.
     """
     return first_failing_n(x, schedule) is None
 
@@ -270,48 +275,42 @@ def in_O(x: Point, schedule: Schedule) -> bool:
 def first_failing_n(x: Point, schedule: Schedule) -> Optional[int]:
     """Least schedule index whose A-set excludes x; None when x is in O.
 
-    alpha_n increases, so m_n's support position pos never decreases and
-    stays the same for every n before the least n with alpha_n^2 above the
-    prefix sum at pos: the schedule indices split into runs of constant
-    m_n, at most one per support position, and end at the first n with no
-    m_n, where the whole norm is below alpha_n and x is in A_n and every
-    later A-set; `_m_position` finds that n with one product and no root.
-    Inside a run beta_n decreases, so x leaves A_n from some n on, if at
-    all: testing the run's last index decides it, a doubling search from
-    the run's first index brackets the first failing index, and one
-    bisection finds it. Across runs there is no such order (a later m_n
-    leaves fewer coordinates to test), so every run is tested in turn; the
-    run at the last position never fails, since no coordinate follows its
-    m_n.
+    Decided in the integers of the point and of the schedule's scales
+    a = u/v and b = s/t, with alpha_n^4 = 2*u^4*n^4/v^4 and beta_n^2 =
+    2*s^2/(t^2*n^2); no threshold pair is built. alpha_n increases, so
+    m_n's support position pos never decreases: the schedule indices split
+    into runs of constant m_n, at most one per support position, and end
+    at the first n with no m_n (or with m_n at the last position), where x
+    is in A_n and in every later A-set.
+
+    Every index before n passes. With pos = m_n's position and M the
+    largest |numerator| after it, an index n' of pos's run fails exactly
+    when n'^2 * t^2 * M^2 > 2 * s^2 * D^2 (never equal: 2 is not a rational
+    square), first at f = isqrt(2*s^2*D^2 // (t^2*M^2)) + 1. If f <= n,
+    n fails; if f is still in pos's run (P_pos/D^2 > alpha_f^2), f is the
+    answer. Otherwise every n' < f passes, later runs included, because a
+    later m_n' leaves fewer coordinates to test, and the search jumps to f,
+    whose m_f lies past pos: at most |support| steps, each one
+    `_m_position` and one small root.
     """
-    last = len(x.support) - 1
+    u, v, s, t = schedule._scales
+    nums, prefix, d2 = x._nums, x._prefix_sq, x._den_sq
+    last = len(nums) - 1
+    a4, v4 = 2 * u ** 4, v ** 4
+    b2, t2 = 2 * s * s * d2, t * t
     n = 1
     while True:
-        pair = schedule.pair_at(n)
-        pos = _m_position(x, pair.alpha)
+        pos = _m_position(x, a4 * n ** 4, v4)
         if pos >= last:  # no m_n, or no coordinate after it
             return None
-        if _violation_past(x, pair, pos) is not None:
+        top = max(map(abs, nums[pos + 1:]))
+        f = isqrt(b2 // (t2 * top * top)) + 1
+        if f <= n:
             return n
-        end = schedule._least_n_alpha_above(x._prefix_sq[pos], x._den_sq)
-        passing, failing = n, end - 1
-        if failing > passing and _violation_past(x, schedule.pair_at(failing),
-                                                 pos) is not None:
-            step = 1
-            while n + step < failing:
-                if _violation_past(x, schedule.pair_at(n + step), pos) is not None:
-                    failing = n + step
-                    break
-                passing = n + step
-                step *= 2
-            while failing - passing > 1:
-                mid = (passing + failing) // 2
-                if _violation_past(x, schedule.pair_at(mid), pos) is None:
-                    passing = mid
-                else:
-                    failing = mid
-            return failing
-        n = end
+        p = prefix[pos]
+        if p * p * v4 > a4 * f ** 4 * d2 * d2:
+            return f
+        n = f
 
 
 def closedness_radius(z: Point, pair: AlphaBetaPair,
@@ -323,7 +322,8 @@ def closedness_radius(z: Point, pair: AlphaBetaPair,
     |z_l0| > beta is automatic: the coordinate is rational, beta is not).
     The radius is min(|z_l0| - beta, prefix-norm margin over alpha).
     """
-    pos = _m_position(z, pair.alpha)
+    alpha = pair.alpha
+    pos = _m_position(z, alpha.num, alpha.den)
     l0 = _violation_past(z, pair, pos)
     if l0 is None:
         raise PreconditionViolatedError("point is inside A; no closedness radius")
@@ -355,7 +355,8 @@ def openness_radius(x: Point, pair: AlphaBetaPair,
     coordinates up to l0 to beta, and a the previous-prefix margin (the
     sentinel 1 when m = 1, kept verbatim for traceability).
     """
-    pos = _m_position(x, pair.alpha)
+    alpha, beta = pair.alpha, pair.beta
+    pos = _m_position(x, alpha.num, alpha.den)
     if pos == len(x.support):
         norm_expr = sqrt_expr(x.norm_sq())
         margin = pair.alpha_expr() - norm_expr
@@ -368,7 +369,7 @@ def openness_radius(x: Point, pair: AlphaBetaPair,
         raise PreconditionViolatedError("point is outside A; no openness radius")
     m = x.support[pos]
 
-    bn, bd = pair.beta_sq.numerator, pair.beta_sq.denominator
+    bn, bd = beta.num, beta.den
     # the tail sum from l only changes just past a support index (and is 0
     # past the last one), so l0 is 1 or one past some support index. Past
     # position k the tail is (total - P_k) / D^2, below beta^2/4 = bn/(4bd)
@@ -378,7 +379,7 @@ def openness_radius(x: Point, pair: AlphaBetaPair,
     threshold = prefix[-1] + (-bn * x._den_sq // (4 * bd))
     l0 = 1 if threshold < 0 else x.support[bisect_right(prefix, threshold)] + 1
 
-    beta_half = RootExpr.of_root(Fraction(1, 2), pair.beta)
+    beta_half = RootExpr.of_root(Fraction(1, 2), beta)
 
     # h: the closest approach to beta of |x_l| = |num|/D over l <= l0 (an
     # empty position is 0); |num|/D < beta iff |num| <= bound. Position l0

@@ -128,9 +128,14 @@ class RootValue:
     that would make the value rational; for degree 4 it would make the
     value's square rational. Either breaks the strict-inequality arguments
     downstream, so it is an error (InvalidRootError).
+
+    The base is stored once, as the integers num/den in lowest terms
+    (den > 0), which the membership and certificate paths read directly;
+    `base` derives the Fraction on each read, for the cold readers (JSON,
+    repr, the witness checks).
     """
 
-    __slots__ = ("base", "degree")
+    __slots__ = ("num", "den", "degree")
 
     def __init__(self, base: Fraction, degree: int):
         if type(base) is not Fraction:
@@ -144,16 +149,22 @@ class RootValue:
                 f"base {base} is the square of a rational; {base}^(1/{degree}) "
                 "would not be irrational"
             )
-        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "num", base.numerator)
+        object.__setattr__(self, "den", base.denominator)
         object.__setattr__(self, "degree", degree)
 
     def __setattr__(self, name, value):
         raise AttributeError("RootValue is immutable")
 
+    @property
+    def base(self) -> Fraction:
+        return Fraction(self.num, self.den)
+
     def __eq__(self, other):
         return (
             isinstance(other, RootValue)
-            and self.base == other.base
+            and self.num == other.num
+            and self.den == other.den
             and self.degree == other.degree
         )
 
@@ -164,7 +175,7 @@ class RootValue:
         return f"RootValue({self.base!r}, degree={self.degree})"
 
     def to_json(self) -> dict:
-        return {"base": format_rational(self.base), "degree": self.degree}
+        return {"base": f"{self.num}/{self.den}", "degree": self.degree}
 
 
 def cmp_rational_vs_root(s: Fraction, t: RootValue) -> Ordering:
@@ -181,11 +192,12 @@ def cmp_rational_vs_root(s: Fraction, t: RootValue) -> Ordering:
     else:
         sq = s * s
         power = sq * sq
-    if power < t.base:
+    base = t.base
+    if power < base:
         return Ordering.LESS
-    if power > t.base:
+    if power > base:
         return Ordering.GREATER
-    raise InvalidRootError(f"base {t.base} is a perfect {t.degree}th power")
+    raise InvalidRootError(f"base {base} is a perfect {t.degree}th power")
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +334,7 @@ class _Value:
             if root is None:
                 rational += coef
             else:
-                p, q = root.base.numerator, root.base.denominator
+                p, q = root.num, root.den
                 if q != 1:
                     coef, p = coef / q, p * q ** (root.degree - 1)
                 roots.append((coef, p, root.degree))

@@ -83,7 +83,12 @@ class SplitMix64:
 
 def derive_seed(seed: int, *salts: int) -> int:
     """Deterministic sub-stream seed from a master seed and integer salts."""
-    h = SplitMix64(seed).next_u64()
+    return _extend_seed(SplitMix64(seed).next_u64(), *salts)
+
+
+def _extend_seed(h: int, *salts: int) -> int:
+    """derive_seed(seed, *first, *salts) from h = derive_seed(seed, *first):
+    one SplitMix64 mix per salt."""
     for salt in salts:
         h = SplitMix64(h ^ ((salt * _GOLDEN) & _MASK64)).next_u64()
     return h
@@ -215,9 +220,12 @@ def _violation(draw: int, point: Optional[Point], detail: str, **extra) -> dict:
 def _check_perturbations(report: ClaimReport, draw: int, x: Point, cert, salt: int,
                          config: SampleConfig, escaped, detail: str, **extra) -> None:
     """Record a violation for each of count_inner perturbations of x within
-    the certified bound for which escaped(perturbed point) holds."""
+    the certified bound for which escaped(perturbed point) holds; the
+    draw's seed is mixed once and extended by (inner, salt) per
+    perturbation."""
+    draw_seed = derive_seed(config.seed, draw)
     for inner in range(config.count_inner):
-        rng = SplitMix64(derive_seed(config.seed, draw, inner, salt))
+        rng = SplitMix64(_extend_seed(draw_seed, inner, salt))
         y = perturb_within(x, cert.bound, rng, config)
         if escaped(y):
             report.violations.append(_violation(

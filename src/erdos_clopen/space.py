@@ -17,9 +17,10 @@ allocating Fractions. `entries` derives the `(index, Fraction)` pairs on
 request.
 
 The prefix sums strictly increase, so the first-exceedance index for alpha
-is found on them by `_m_position`: one product against the whole norm
-decides that there is none, and otherwise one integer root and one
-bisection find it.
+is found on them by `_m_position`, which takes alpha^4 as two integers:
+one product against the whole norm decides that there is none, and
+otherwise one integer root and one bisection find it. Every decision of
+m, A and O goes through it on integers only, with no Fraction built.
 """
 
 from __future__ import annotations
@@ -206,31 +207,33 @@ def m_index(x: Point, alpha: RootValue) -> Optional[int]:
     alpha must be a degree-4 root so that alpha^2 (a degree-2 root of the
     same base) is irrational and the exceedance test has no boundary case.
     Partial sums only change at support indices, so m is a support index,
-    found by `_m_position`; returns None exactly when norm_sq(x) < alpha^2.
-    """
-    pos = _m_position(x, alpha)
-    return x.support[pos] if pos < len(x.support) else None
-
-
-def _m_position(x: Point, alpha: RootValue) -> int:
-    """Position in x.support of the first-exceedance index for alpha, or
-    len(x.support) when there is none.
-
-    With alpha^4 = bn/bd and prefix sums P over D^2, P/D^2 > alpha^2 iff
-    P^2 * bd > bn * D^4 (equality is impossible: alpha^2 is irrational).
-    The last prefix sum is the whole norm: when it stays below, there is
-    no m and one product decides it. Otherwise P/D^2 > alpha^2 iff P >
-    isqrt(bn * D^4 // bd) (P is an integer), and the prefix sums strictly
-    increase, so one bisection finds the first.
+    found by `_m_position` on alpha's integers; returns None exactly when
+    norm_sq(x) < alpha^2.
     """
     if alpha.degree != 4:
         raise ValueError(f"m_index needs a degree-4 threshold, got degree {alpha.degree}")
+    pos = _m_position(x, alpha.num, alpha.den)
+    return x.support[pos] if pos < len(x.support) else None
+
+
+def _m_position(x: Point, num: int, den: int) -> int:
+    """Position in x.support of the first-exceedance index for the alpha
+    with alpha^4 = num/den (positive integers, in lowest terms or not, and
+    alpha^2 irrational), or len(x.support) when there is none.
+
+    With prefix sums P over D^2, P/D^2 > alpha^2 iff P^2 * den > num * D^4
+    (equality is impossible: alpha^2 is irrational). The last prefix sum
+    is the whole norm: when it stays below, there is no m and one product
+    decides it. Otherwise P/D^2 > alpha^2 iff P > isqrt(num * D^4 // den)
+    (P is an integer, and the floor of num * D^4 / den does not depend on
+    the representation), and the prefix sums strictly increase, so one
+    bisection finds the first.
+    """
     prefix = x._prefix_sq
     if not prefix:
         return 0
-    base = alpha.base
-    target = base.numerator * x._den_sq * x._den_sq
+    target = num * x._den_sq * x._den_sq
     last = prefix[-1]
-    if last * last * base.denominator < target:
+    if last * last * den < target:
         return len(prefix)
-    return bisect_right(prefix, isqrt(target // base.denominator))
+    return bisect_right(prefix, isqrt(target // den))

@@ -32,21 +32,9 @@ class SourceFailureError(Exception):
     """The unbounded source could not produce a point past the threshold."""
 
 
-class ScheduleExhaustedError(Exception):
-    """The ball radius needs an m* past _SCHEDULE_SEARCH_CAP, the largest
-    index a witness is allowed to use."""
-
-
 class InvalidEpsilonError(Exception):
     """The generalized construction needs a positive ball radius."""
 
-
-#: Largest m* a witness may use; radii that need more are rejected up front.
-#: Checking z costs a bisection over its runs of constant m, not time linear
-#: in m*, so the cap guards no cost: it is the input boundary the library
-#: has always rejected at, 2^29, and lifting it is a behaviour change of its
-#: own.
-_SCHEDULE_SEARCH_CAP = 2 ** 29
 
 #: Maps a norm threshold to a point whose norm exceeds it (exactly checked).
 PointSource = Callable[[RootValue], Point]
@@ -155,11 +143,6 @@ def construct_witness(v: VSpec, schedule: Schedule) -> WitnessRecord:
     # beta_m < 1/n* and alpha_m > n* (alpha_m > n* iff alpha_m^2 > n*^2)
     m_star = max(schedule.least_n_with_beta_below(Fraction(1, n_star)),
                  schedule.least_n_with_alpha_above(Fraction(n_star ** 2)))
-    if m_star > _SCHEDULE_SEARCH_CAP:
-        raise ScheduleExhaustedError(
-            f"ball radius {format_rational(r_star)} needs m* = {m_star}, "
-            f"past the supported {_SCHEDULE_SEARCH_CAP}")
-
     pair = schedule.pair_at(m_star)
     x = v.source(pair.alpha)
     # |x| > alpha_m* exactly when some prefix norm exceeds it

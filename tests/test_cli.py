@@ -256,10 +256,13 @@ class TestWitnessAndRefute:
         assert code == EXIT_INVALID
         assert "norm above the threshold" in err
 
-    def test_tiny_ball_radius_exits_2(self, capsys):
-        code, _, err = run_cli(capsys, "witness", "--ball-radius", "1/1000000000")
-        assert code == EXIT_INVALID
-        assert "m* = " in err
+    def test_tiny_ball_radius_succeeds(self, capsys, roots):
+        code, out, _ = run_cli(capsys, "witness", "--ball-radius", f"1/{10 ** 18}")
+        assert code == EXIT_OK
+        document = json.loads(out)
+        assert document["m_star"] == document["failing_n"] == 1414213562373095051
+        assert all(check["holds"] for check in document["checks"])
+        assert len(roots) <= 16  # a count that does not grow with m*
 
     def test_refute_verdict(self, capsys, tmp_path):
         out_path = tmp_path / "v.json"

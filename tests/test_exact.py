@@ -106,6 +106,32 @@ class TestRootValue:
         assert r == RootValue(F(2), 4)
         assert hash(r) == hash(RootValue(F(2), 4))
 
+    @given(st.integers(1, 10 ** 40), st.integers(1, 10 ** 40), st.integers(1, 10 ** 6),
+           st.sampled_from([2, 4]))
+    @example(4, 6, 1, 2)
+    @settings(max_examples=200, deadline=None)
+    def test_base_is_stored_as_integers_in_lowest_terms(self, p, q, k, degree):
+        base = F(p, q)
+        if is_rational_square(base):
+            return
+        r = RootValue(F(k * p, k * q), degree)  # Fraction reduces k*p/k*q
+        assert gcd(r.num, r.den) == 1 and r.den > 0
+        assert (r.num, r.den) == (base.numerator, base.denominator)
+        assert type(r.base) is F and r.base == F(r.num, r.den) == base
+        assert r == RootValue(base, degree)
+        assert hash(r) == hash((base, degree))
+        assert r.to_json() == {"base": format_rational(base), "degree": degree}
+
+    def test_equal_bases_in_other_terms_are_equal(self):
+        assert RootValue(F(4, 6), 2) == RootValue(F(2, 3), 2)
+        assert hash(RootValue(F(4, 6), 2)) == hash(RootValue(F(2, 3), 2))
+        assert RootValue(F(2, 3), 2) != RootValue(F(2, 3), 4)
+        r = RootValue(F(2, 3), 2)
+        with pytest.raises(AttributeError):
+            r.num = 4
+        with pytest.raises(AttributeError):
+            r.base = F(4, 6)
+
     def test_is_rational_power(self):
         assert is_rational_power(F(9, 4), 2) == F(3, 2)
         assert is_rational_power(F(16, 81), 4) == F(2, 3)

@@ -21,6 +21,7 @@ from erdos_clopen.harness import (
     InvalidParamsError,
     SampleConfig,
     SplitMix64,
+    _extend_seed,
     _sample_point_with,
     derive_seed,
     perturb_within,
@@ -56,6 +57,17 @@ class TestSplitMix:
     def test_derive_seed_separates_streams(self):
         assert derive_seed(1, 2, 3) != derive_seed(1, 3, 2)
         assert derive_seed(5) == derive_seed(5)
+
+    @pytest.mark.parametrize("seed", [0, 7, 42, 2 ** 64 - 1, 2 ** 70])
+    def test_extended_seed_equals_derived_seed(self, seed):
+        # a draw's seed is mixed once and extended per perturbation
+        for draw in (0, 1, 9999):
+            draw_seed = derive_seed(seed, draw)
+            for inner in (0, 1, 15):
+                for salt in (2, 3, 4):
+                    assert (_extend_seed(draw_seed, inner, salt)
+                            == derive_seed(seed, draw, inner, salt))
+        assert _extend_seed(derive_seed(seed)) == derive_seed(seed)
 
 
 class TestSampleConfig:

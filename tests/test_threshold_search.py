@@ -11,19 +11,21 @@ support position, no integer root, no bisection; h as the exact minimum
 of one expression per position up to l0; one `in_A` per schedule index
 below the cutoff. So are the root-first position search and the run
 search bounded by an up-front cutoff root, which bisected a whole failing
-run (`reference_m_position`, `reference_first_failing_n`).
+run (`reference_m_position`, `reference_first_failing_n`), and the run
+search that built a threshold pair per tested index and galloped inside a
+failing run (`gallop_first_failing_n`).
 """
 
 import json
 from bisect import bisect_right
 from fractions import Fraction as F
-from math import gcd, isqrt, log2
+from math import gcd, isqrt
 from typing import Optional
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from erdos_clopen import clopen, exact, space
+from erdos_clopen import cli, clopen, exact, space, witness
 from erdos_clopen.exact import (
     RootExpr,
     RootValue,
@@ -432,59 +434,84 @@ def pair_lookups(call):
     return result, info.hits + info.misses
 
 
-def lookup_bound(x: Point, schedule: Schedule) -> float:
-    """4 * (|support| + log2 cutoff): one run per support position and one
-    bisection, with room to spare, whatever the coordinates' values."""
-    return 4 * (len(x.support) + log2(schedule.least_n_with_alpha_above(x.norm_sq())))
+@pytest.fixture()
+def searches(roots, monkeypatch):
+    """(support size, roots taken) of every `first_failing_n` call, wherever
+    the library makes it."""
+    calls = []
+    search = clopen.first_failing_n
+
+    def counted(x, schedule):
+        before = len(roots)
+        result = search(x, schedule)
+        calls.append((len(x.support), len(roots) - before))
+        return result
+
+    for module in (clopen, witness, cli):
+        monkeypatch.setattr(module, "first_failing_n", counted)
+    return calls
 
 
 class TestCostByRuns:
-    """The number of threshold pairs that deciding O looks up grows with the
-    support and the bit length of the cutoff, not with the cutoff itself."""
+    """Deciding O takes at most two integer roots per support position (one
+    `_m_position` and one tail bound per run visited) and looks up no
+    threshold pair, whatever the coordinates' values and however deep the
+    failing index lies in a run."""
 
-    def test_thirty_digit_coordinate(self):
+    def test_thirty_digit_coordinate(self, roots):
         x = Point({1: F(10 ** 30), 5: F(1, 3)})
         failing, lookups = pair_lookups(lambda: first_failing_n(x, SCHEDULES[0]))
+        assert (lookups, len(roots)) == (0, 2)
         assert failing == 5 == scan_first_failing_n(x, SCHEDULES[0])
-        assert lookups <= lookup_bound(x, SCHEDULES[0])
-        # the run of m = 1 is about 8 * 10^29 indices long; the doubling
-        # search from its first index brackets 5 at once (2, 3 pass, 5 fails)
-        assert lookups <= 12
 
     @pytest.mark.parametrize("failing", [2, 3, 17, 1000, 10 ** 6, 10 ** 12])
-    def test_failing_index_deep_in_a_long_run(self, failing):
+    def test_failing_index_deep_in_a_long_run(self, roots, failing):
         # beta_n = sqrt(2)/n, and c = sqrt(2)/(failing - 1/2) to 40 digits
         # lies between beta_failing and beta_(failing - 1)
         c = F(isqrt(8 * 10 ** 80), 10 ** 40 * (2 * failing - 1))
         schedule = SCHEDULES[0]
         x = Point({1: F(10 ** 30), 5: c})
         found, lookups = pair_lookups(lambda: first_failing_n(x, schedule))
+        # the run of m = 1 is about 8 * 10^29 indices long: its tail bound
+        # is the failing index, with no search inside the run
+        assert (lookups, len(roots)) == (0, 2)
         assert found == failing
         assert in_A(x, schedule.pair_at(failing - 1))
         assert not in_A(x, schedule.pair_at(failing))
-        assert lookups <= lookup_bound(x, schedule)
-        # the run's first and last index, then a doubling search and a
-        # bisection over the offset failing - 1, not over the run
-        assert lookups <= 2 * log2(failing) + 4
 
-    def test_witness_at_m_star_1414215(self):
+    def test_witness_at_m_star_1414215(self, searches):
         schedule = SCHEDULES[0]
-        v = VSpec(F(1, 10 ** 6), ray_source())
-        record, lookups = pair_lookups(lambda: construct_witness(v, schedule))
+        record = construct_witness(VSpec(F(1, 10 ** 6), ray_source()), schedule)
         assert record.m_star == 1414215
         assert record.failing_n == record.m_star
         assert all(check["holds"] for check in record.checks)
-        assert lookups <= lookup_bound(record.z, schedule)
+        assert searches and all(taken <= 2 * size for size, taken in searches)
 
-    def test_check_set_O_on_a_large_coordinate(self, capsys, tmp_path):
+    def test_check_set_O_on_a_large_coordinate(self, capsys, tmp_path, searches):
         path = tmp_path / "p.json"
         path.write_text(json.dumps({"coords": {"1": "100000"}}))
-        (code, out, _), lookups = pair_lookups(lambda: run_cli(
-            capsys, "check", "--point", str(path), "--set", "O", "--schedule", "default"))
+        code, out, _ = run_cli(capsys, "check", "--point", str(path), "--set", "O",
+                               "--schedule", "default")
         assert code == 0
         document = json.loads(out)
         assert document["member"] and document["trace"]["alpha_cutoff"] == 84090
-        assert lookups <= lookup_bound(Point({1: F(10 ** 5)}), SCHEDULES[0])
+        assert searches == [(1, 1)]  # m_1 is the only coordinate: no tail to bound
+
+    @given(st.one_of(run_points(), decaying_points(), points(wide_coordinate)),
+           st.sampled_from(SCHEDULES))
+    @settings(max_examples=300, deadline=None)
+    def test_two_roots_per_support_position(self, x, schedule):
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return isqrt(n)
+
+        with pytest.MonkeyPatch.context() as patch:
+            for module in (space, clopen, exact):
+                patch.setattr(module, "isqrt", counted)
+            first_failing_n(x, schedule)
+        assert len(calls) <= 2 * len(x.support)
 
 
 class TestExactBoundaries:
@@ -776,10 +803,12 @@ class TestCompareFirst:
     def test_m_position_matches_reference(self, case):
         x, alpha4 = case
         alpha = RootValue(alpha4, 4)
-        pos = _m_position(x, alpha)
+        pos = _m_position(x, alpha.num, alpha.den)
         assert pos == reference_m_position(x, alpha)
         m = scan_m_index(x, alpha)
         assert pos == (len(x.support) if m is None else x.support.index(m))
+        # alpha^4's integers need not be in lowest terms
+        assert _m_position(x, 6 * alpha.num, 6 * alpha.den) == pos
 
     @given(st.one_of(
         st.tuples(st.one_of(run_points(), decaying_points(), inside_alpha_1),
@@ -799,26 +828,182 @@ class TestCompareFirst:
             assert scan_first_failing_n(x, schedule) == expected
 
 
+# The run search before it decided O from the integers alone, kept verbatim
+# as a reference: a threshold pair per index it tests, the run's last
+# index tested first, then a doubling search from the run's first index
+# and one bisection. Its position search read alpha's base as a Fraction,
+# and its run ends came from `Schedule._least_n_alpha_above`; both are
+# kept beside it, verbatim.
+
+def fraction_m_position(x: Point, alpha: RootValue) -> int:
+    if alpha.degree != 4:
+        raise ValueError(f"m_index needs a degree-4 threshold, got degree {alpha.degree}")
+    prefix = x._prefix_sq
+    if not prefix:
+        return 0
+    base = alpha.base
+    target = base.numerator * x._den_sq * x._den_sq
+    last = prefix[-1]
+    if last * last * base.denominator < target:
+        return len(prefix)
+    return bisect_right(prefix, isqrt(target // base.denominator))
+
+
+def least_n_alpha_above(schedule: Schedule, p: int, q: int) -> int:
+    u, v, _, _ = schedule._scales
+    return floor_root(p * p * v ** 4 // (2 * u ** 4 * q * q), 4) + 1
+
+
+def gallop_first_failing_n(x: Point, schedule: Schedule) -> Optional[int]:
+    last = len(x.support) - 1
+    n = 1
+    while True:
+        pair = schedule.pair_at(n)
+        pos = fraction_m_position(x, pair.alpha)
+        if pos >= last:  # no m_n, or no coordinate after it
+            return None
+        if _violation_past(x, pair, pos) is not None:
+            return n
+        end = least_n_alpha_above(schedule, x._prefix_sq[pos], x._den_sq)
+        passing, failing = n, end - 1
+        if failing > passing and _violation_past(x, schedule.pair_at(failing),
+                                                 pos) is not None:
+            step = 1
+            while n + step < failing:
+                if _violation_past(x, schedule.pair_at(n + step), pos) is not None:
+                    failing = n + step
+                    break
+                passing = n + step
+                step *= 2
+            while failing - passing > 1:
+                mid = (passing + failing) // 2
+                if _violation_past(x, schedule.pair_at(mid), pos) is None:
+                    passing = mid
+                else:
+                    failing = mid
+            return failing
+        n = end
+
+
+def run_end_gap(x: Point, schedule: Schedule, pos: int, f: int) -> int:
+    """P_pos^2 * v^4 - 2 * u^4 * f^4 * D^4: positive exactly when alpha_f^2
+    lies below the prefix sum at pos, so f is in pos's run (or before it)."""
+    u, v, _, _ = schedule._scales
+    p, d2 = x._prefix_sq[pos], x._den_sq
+    return p * p * v ** 4 - 2 * u ** 4 * f ** 4 * d2 * d2
+
+
+def tail_bound(x: Point, schedule: Schedule, pos: int) -> int:
+    """The least n whose beta_n is below some coordinate after pos."""
+    _, _, s, t = schedule._scales
+    top = max(map(abs, x._nums[pos + 1:]))
+    return isqrt(2 * s * s * x._den_sq // (t * t * top * top)) + 1
+
+
+@st.composite
+def tail_bound_at_run_end(draw):
+    """A point and a schedule whose beta scale puts the tail bound f after
+    m_1 at the last index T of m_1's run or one past it: the run-end gap
+    at f is positive for f = T and negative for f = T + 1. b = M*r/D with
+    r within 1/(4K) of (f - 1/2)/sqrt(2) lands f there for any f."""
+    x = draw(st.one_of(run_points(), decaying_points(), points(wide_coordinate)))
+    a = draw(st.sampled_from((F(1), F(1, 3), F(5), F(2, 7))))
+    u, v = a.numerator, a.denominator
+    pos = _m_position(x, 2 * u ** 4, v ** 4)
+    assume(pos < len(x.support) - 1)
+    p, d2 = x._prefix_sq[pos], x._den_sq
+    end = floor_root(p * p * v ** 4 // (2 * u ** 4 * d2 * d2), 4)
+    f = end + draw(st.sampled_from((0, 1)))
+    top = max(map(abs, x._nums[pos + 1:]))
+    k = 10 ** 6
+    b = F(top, x._den) * F(isqrt(2 * (2 * f - 1) ** 2 * k * k), 4 * k)
+    schedule = Schedule(a, b)
+    assert tail_bound(x, schedule, pos) == f
+    return x, schedule, pos, end, f
+
+
+# {1: 1, 2: 2, 3: 3, 4: 15} has prefix sum 239 and 239^2 = 2 * 13^4 - 1
+# (Pell's X^2 - 2Y^2 = -1 at Y = 13^2): on Schedule(1, 34) the run of m = 4
+# spans 4..12, the tail bound after it is 13, and the run-end gap at 13 is
+# exactly -1. With a second 4 after the first, x fails at 13.
+PELL_SCHEDULE = Schedule(1, 34)
+PELL_POINTS = (Point({1: F(1), 2: F(2), 3: F(3), 4: F(15), 5: F(4)}),
+               Point({1: F(1), 2: F(2), 3: F(3), 4: F(15), 5: F(4), 6: F(4)}))
+
+
+def witness_cases():
+    """(z, schedule) of witnesses along two rays at four radii."""
+    return [(construct_witness(VSpec(r_star, ray_source(direction)), schedule).z, schedule)
+            for schedule in SCHEDULES
+            for direction in (None, Point({2: F(3, 7), 5: F(-1, 2)}))
+            for r_star in (F(1), F(1, 10), F(1, 100), F(1, 1000))]
+
+
+class TestJumpByRuns:
+    """`first_failing_n` on integers against the pair-building run search."""
+
+    @given(st.one_of(
+        st.tuples(st.one_of(run_points(), decaying_points(), inside_alpha_1,
+                            points(wide_coordinate)),
+                  st.sampled_from(SCHEDULES)),
+        run_end_at_cutoff()))
+    @example((Point(), SCHEDULES[0]))
+    @example((Point({4: F(7, 3)}), SCHEDULES[1]))
+    @example((Point({1: F(10 ** 30), 5: F(1, 3)}), SCHEDULES[2]))
+    @example((PELL_POINTS[0], PELL_SCHEDULE))
+    @example((PELL_POINTS[1], PELL_SCHEDULE))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_gallop_search(self, case):
+        x, schedule = case
+        expected = gallop_first_failing_n(x, schedule)
+        assert first_failing_n(x, schedule) == expected
+        if schedule.least_n_with_alpha_above(x.norm_sq()) <= 200:
+            assert scan_first_failing_n(x, schedule) == expected
+
+    @given(tail_bound_at_run_end())
+    @settings(max_examples=300, deadline=None)
+    def test_tail_bound_at_a_run_end(self, case):
+        x, schedule, pos, end, f = case
+        gap = run_end_gap(x, schedule, pos, f)
+        assert (gap > 0) == (f == end) and gap != 0
+        assert run_end_gap(x, schedule, pos, end + 1) < 0
+        found = first_failing_n(x, schedule)
+        assert found == gallop_first_failing_n(x, schedule)
+        if f == end:  # f is in m_1's run, and every index before it passes
+            assert found == f
+        else:
+            assert found is None or found >= f
+
+    def test_empty_and_single_coordinate(self):
+        for schedule in SCHEDULES:
+            for x in (Point(), Point({1: F(10 ** 30)}), Point({9: F(-1, 10 ** 30)})):
+                assert first_failing_n(x, schedule) is None
+                assert gallop_first_failing_n(x, schedule) is None
+
+    def test_run_end_gap_minus_one(self):
+        for x, expected in zip(PELL_POINTS, (None, 13)):
+            assert x._prefix_sq[3] == 239 and x._den == 1
+            assert runs_of_m(x, PELL_SCHEDULE)[:3] == [[2, 1, 1], [3, 2, 3], [4, 4, 12]]
+            assert tail_bound(x, PELL_SCHEDULE, 3) == 13
+            assert run_end_gap(x, PELL_SCHEDULE, 3, 13) == -1
+            assert first_failing_n(x, PELL_SCHEDULE) == expected
+            assert gallop_first_failing_n(x, PELL_SCHEDULE) == expected
+            assert scan_first_failing_n(x, PELL_SCHEDULE) == expected
+
+    def test_witness_points(self):
+        for z, schedule in witness_cases():
+            found = first_failing_n(z, schedule)
+            assert found is not None
+            assert found == gallop_first_failing_n(z, schedule)
+
+
 class TestRootCounts:
-    """How many integer roots a decision takes, counted by wrapping `isqrt`
-    where the library calls it: a count, not a timing."""
-
-    @pytest.fixture()
-    def roots(self, monkeypatch):
-        calls = []
-
-        def counted(n):
-            calls.append(n)
-            return isqrt(n)
-
-        for module in (space, clopen, exact):
-            monkeypatch.setattr(module, "isqrt", counted)
-        return calls
+    """How many integer roots a decision takes (the `roots` fixture)."""
 
     def test_m_position_below_alpha_takes_no_root(self, roots):
         alpha = SCHEDULES[0].pair_at(1).alpha  # alpha^2 = sqrt(2)
         below = Point({1: F(1), 4: F(-1, 3)})  # norm 10/9
-        assert _m_position(below, alpha) == 2
+        assert _m_position(below, alpha.num, alpha.den) == 2
         assert m_index(below, alpha) is None
         assert roots == []
         assert m_index(Point({1: F(1), 4: F(1)}), alpha) == 4  # norm 2: one root

@@ -3,7 +3,6 @@
 import hashlib
 import json
 import random
-import time
 from fractions import Fraction as F
 
 import pytest
@@ -13,7 +12,6 @@ from erdos_clopen.space import Point, unit
 from erdos_clopen.clopen import DEFAULT_SCHEDULE, Schedule, first_failing_n, in_O
 from erdos_clopen.witness import (
     InvalidEpsilonError,
-    ScheduleExhaustedError,
     SourceFailureError,
     VSpec,
     WitnessCase,
@@ -213,26 +211,37 @@ class TestPinnedLookups:
             "0a839664be5b05eeb05ffd548fedd1a551748aeaebff98b26f7ec82d734af79c")
 
 
-class TestScheduleCap:
-    """Radii whose m* lies past 2^29 are rejected before any scan."""
+class TestTinyRadii:
+    """Ball radii far past the m* = 2^29 that was once the input boundary:
+    the witness holds every check, and its cost is a count of integer roots
+    that does not grow with m*."""
 
-    def test_tiny_radius_rejected_quickly(self):
-        started = time.perf_counter()
-        with pytest.raises(ScheduleExhaustedError):
-            construct_witness(VSpec(F(1, 10 ** 9), ray_source()), DEFAULT_SCHEDULE)
-        assert time.perf_counter() - started < 1.0
+    @pytest.mark.parametrize("schedule", [DEFAULT_SCHEDULE, Schedule(F(1, 3), 2)])
+    @pytest.mark.parametrize("digits", [9, 12, 18])
+    def test_witness_holds_with_few_roots(self, roots, schedule, digits):
+        record = construct_witness(VSpec(F(1, 10 ** digits), ray_source()), schedule)
+        # 14 to 16 roots: m*'s two side conditions, the ray point, q, and
+        # the m, A and O decisions on x and z
+        assert len(roots) <= 16
+        assert record.m_star > 2 ** 29
+        assert record.failing_n == record.m_star
+        assert all(check["holds"] for check in record.checks)
+        a_base = lambda n: 2 * schedule.alpha_scale ** 4 * n ** 4
+        b_base = lambda n: 2 * schedule.beta_scale ** 2 / (n * n)
+        m = record.m_star
+        assert not oracle.in_A(record.z.entries, a_base(m), b_base(m))
+        assert oracle.in_A(record.z.entries, a_base(m - 1), b_base(m - 1))
 
-    def test_boundary_at_two_to_the_29(self):
-        # r* = 1/N gives n* = N + 1, and on the default schedule
-        # m* = least m with beta_m < 1/n*
+    def test_first_radius_past_two_to_the_29(self):
+        # r* = 1/N gives n* = N + 1, and on the default schedule m* = least
+        # m with beta_m < 1/n*: 1/379625062 needs m* = 2^29 + 1
         s = DEFAULT_SCHEDULE
-        bounded = file_source([unit(1)])
-        assert s.least_n_with_beta_below(F(1, 379625062)) == 2 ** 29
-        with pytest.raises(SourceFailureError):  # m* = 2^29 passes the cap
-            construct_witness(VSpec(F(1, 379625061), bounded), s)
         assert s.least_n_with_beta_below(F(1, 379625063)) == 2 ** 29 + 1
-        with pytest.raises(ScheduleExhaustedError):
-            construct_witness(VSpec(F(1, 379625062), bounded), s)
+        record = construct_witness(VSpec(F(1, 379625062), ray_source()), s)
+        assert record.m_star == record.failing_n == 2 ** 29 + 1
+        assert all(check["holds"] for check in record.checks)
+        with pytest.raises(SourceFailureError):  # a bounded source still fails
+            construct_witness(VSpec(F(1, 379625062), file_source([unit(1)])), s)
 
 
 class TestIndexMinimality:
