@@ -3,6 +3,7 @@ counterexamples for clopen sets of the rational l2 sequence space."""
 
 from .exact import (
     EmptyIntervalError,
+    InputError,
     InvalidRootError,
     Ordering,
     RootExpr,
@@ -34,7 +35,6 @@ from .clopen import (
     openness_radius,
 )
 from .witness import (
-    InvalidEpsilonError,
     RefutationVerdict,
     SourceFailureError,
     VSpec,

@@ -2,8 +2,9 @@
 construction, the incompatibility verdict, and the verification suite.
 
 Exit codes: 0 success / all claims pass, 1 a violation was found,
-2 invalid input (malformed rational, invalid root base, empty interval,
-precondition failures). Output documents are JSON; files are written
+2 invalid input (an `InputError`: malformed rational or JSON, invalid root
+base, precondition failures; or an `OSError`). Any other exception is a
+bug and ends in a traceback. Output documents are JSON; files are written
 atomically (temp file in the target directory, then rename), and the
 ERDOS_REPORT_PRETTY environment variable toggles indentation only.
 """
@@ -18,19 +19,11 @@ import sys
 import tempfile
 from pathlib import Path
 
-from .exact import (
-    MAX_DIGITS,
-    EmptyIntervalError,
-    InvalidRootError,
-    RootValue,
-    UnsupportedFormError,
-    parse_rational,
-)
+from .exact import MAX_DIGITS, InputError, RootValue, parse_rational
 from .space import Point, m_index
 from .clopen import (
     DEFAULT_DEN_CAP,
     AlphaBetaPair,
-    PreconditionViolatedError,
     Schedule,
     closedness_radius,
     first_failing_n,
@@ -40,8 +33,6 @@ from .clopen import (
     openness_radius,
 )
 from .witness import (
-    InvalidEpsilonError,
-    SourceFailureError,
     VSpec,
     construct_witness,
     file_source,
@@ -58,19 +49,6 @@ from .harness import (
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INVALID = 2
-
-_INPUT_ERRORS = (
-    ValueError,
-    KeyError,
-    InvalidRootError,
-    UnsupportedFormError,
-    EmptyIntervalError,
-    PreconditionViolatedError,
-    SourceFailureError,
-    InvalidEpsilonError,
-    InvalidParamsError,
-    OSError,
-)
 
 
 def _dumps(document) -> str:
@@ -105,7 +83,7 @@ def _emit(document, out_path=None) -> None:
 def _parse_json_int(text: str) -> int:
     # main lifts the interpreter's own limit, so inputs keep the project's
     if len(text.lstrip("-")) > MAX_DIGITS:
-        raise ValueError(f"invalid JSON integer: more than {MAX_DIGITS} digits")
+        raise InputError(f"invalid JSON integer: more than {MAX_DIGITS} digits")
     return int(text)
 
 
@@ -123,8 +101,13 @@ def _parse_int(text: str) -> int:
 
 
 def _load_json(path: str) -> dict:
-    with open(path, encoding="utf-8") as handle:
-        return json.load(handle, parse_int=_parse_json_int)
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle, parse_int=_parse_json_int)
+    except InputError:
+        raise
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nested too deep
+        raise InputError(str(exc)) from exc
 
 
 def _load_point(path: str) -> Point:
@@ -149,9 +132,9 @@ def _source_from_arg(arg: str):
     if arg.startswith("file:"):
         data = _load_json(arg[len("file:"):])
         if not isinstance(data, list):
-            raise ValueError("point file must hold a JSON array of points")
+            raise InputError("point file must hold a JSON array of points")
         return file_source([Point.from_json(item) for item in data])
-    raise ValueError(f"unknown source {arg!r} (expected 'ray' or 'file:PATH')")
+    raise InputError(f"unknown source {arg!r} (expected 'ray' or 'file:PATH')")
 
 
 def _cmd_check(args) -> int:
@@ -330,7 +313,7 @@ def main(argv=None) -> int:
     sys.set_int_max_str_digits(0)
     try:
         return args.handler(args)
-    except _INPUT_ERRORS as exc:
+    except (InputError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID
     finally:

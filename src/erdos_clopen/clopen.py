@@ -31,6 +31,7 @@ from math import isqrt
 from typing import Optional
 
 from .exact import (
+    InputError,
     RootExpr,
     RootValue,
     floor_root,
@@ -45,7 +46,7 @@ from .space import Point, _m_position, m_index
 DEFAULT_DEN_CAP = 10 ** 6
 
 
-class PreconditionViolatedError(Exception):
+class PreconditionViolatedError(InputError):
     """A radius certificate was requested for a point on the wrong side."""
 
 
@@ -128,7 +129,7 @@ class Schedule:
         object.__setattr__(self, "alpha_scale", a)
         object.__setattr__(self, "beta_scale", b)
         if a <= 0 or b <= 0:
-            raise ValueError("schedule scales must be positive")
+            raise InputError("schedule scales must be positive")
         object.__setattr__(self, "_scales",
                            (a.numerator, a.denominator, b.numerator, b.denominator))
         self.pair_at(1)  # surfaces invalid roots immediately
@@ -164,10 +165,10 @@ class Schedule:
     @classmethod
     def from_json(cls, data: dict) -> "Schedule":
         if not isinstance(data, dict):
-            raise ValueError('a schedule must be a JSON object {"alpha_scale": "p/q", ...}')
+            raise InputError('a schedule must be a JSON object {"alpha_scale": "p/q", ...}')
         degree = data.get("degree", 4)
         if degree != 4:
-            raise ValueError(f"schedule degree must be 4, got {degree}")
+            raise InputError(f"schedule degree must be 4, got {degree}")
         return cls(
             parse_rational(data.get("alpha_scale", "1/1")),
             parse_rational(data.get("beta_scale", "1/1")),

@@ -50,19 +50,21 @@ class Ordering(Enum):
     GREATER = 1
 
 
-class ExactError(Exception):
-    """Base class for errors raised by the exact-arithmetic layer."""
+class InputError(ValueError):
+    """A value from outside the program is rejected: a flag, a JSON
+    document, or an argument of the public API. The CLI reports it in one
+    line and exits 2; any other exception is a bug."""
 
 
-class InvalidRootError(ExactError):
+class InvalidRootError(InputError):
     """The base of a root value is a rational square, so the root is rational."""
 
 
-class UnsupportedFormError(ExactError):
+class UnsupportedFormError(ValueError):
     """An expression falls outside the two-term fragment."""
 
 
-class EmptyIntervalError(ExactError):
+class EmptyIntervalError(ValueError):
     """Interval endpoints with lo >= hi."""
 
 
@@ -78,16 +80,16 @@ def parse_rational(text: str) -> Fraction:
     """Parse exact "p/q" (or plain integer "p") syntax in ASCII digits; no
     decimals, spaces or digit separators, at most MAX_DIGITS digits each.
 
-    Raises ValueError on anything else, including a zero denominator.
+    Raises InputError on anything else, including a zero denominator.
     """
     if not isinstance(text, str) or not _RATIONAL_RE.fullmatch(text):
-        raise ValueError(f"invalid rational: {text!r} (expected p/q syntax)")
+        raise InputError(f"invalid rational: {text!r} (expected p/q syntax)")
     if max(map(len, text.lstrip("+-").split("/"))) > MAX_DIGITS:
-        raise ValueError(f"invalid rational: a numeral has more than {MAX_DIGITS} digits")
+        raise InputError(f"invalid rational: a numeral has more than {MAX_DIGITS} digits")
     if "/" in text:
         num, den = text.split("/")
         if int(den) == 0:
-            raise ValueError(f"invalid rational: {text!r} (zero denominator)")
+            raise InputError(f"invalid rational: {text!r} (zero denominator)")
         return Fraction(int(num), int(den))
     return Fraction(int(text))
 
@@ -580,7 +582,7 @@ def largest_rational_at_most_min(exprs: tuple[ExprLike, ...], den_cap: int) -> F
 
 def _largest_at_most(val: _Value, den_cap: int) -> Fraction:
     if den_cap < 1:
-        raise ValueError(f"den_cap must be >= 1, got {den_cap}")
+        raise InputError(f"den_cap must be >= 1, got {den_cap}")
     if val.sign() <= 0:
         raise ValueError("largest_rational_at_most expects a positive value")
 

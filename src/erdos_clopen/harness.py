@@ -18,7 +18,7 @@ from functools import partial
 from math import lcm
 from typing import Optional
 
-from .exact import floor_root, format_rational
+from .exact import InputError, floor_root, format_rational
 from .space import Point, _add_ints, unit
 from .clopen import (
     AlphaBetaPair,
@@ -26,6 +26,7 @@ from .clopen import (
     closedness_radius,
     first_failing_n,
     in_A,
+    in_E_alpha,
     in_O,
     o_openness_radius,
     openness_radius,
@@ -38,7 +39,7 @@ from .witness import (
 )
 
 
-class InvalidParamsError(Exception):
+class InvalidParamsError(InputError):
     """Claim id or parameters outside the suite's contract."""
 
 
@@ -235,11 +236,9 @@ def _check_perturbations(report: ClaimReport, draw: int, x: Point, cert, salt: i
 def _verify_c1(pair: AlphaBetaPair, config: SampleConfig) -> ClaimReport:
     """Sampled points with norm below alpha must land in A."""
     report = ClaimReport("C1", config.count, 0)
-    alpha_sq_sq = pair.alpha.base  # alpha^4; norm < alpha iff norm_sq^2 < this
     for draw in range(config.count):
         x = sample_point(config, draw)
-        norm_sq = x.norm_sq()
-        if norm_sq * norm_sq >= alpha_sq_sq:
+        if not in_E_alpha(x, pair.alpha):  # in E_alpha iff norm < alpha
             continue
         report.eligible += 1
         if not in_A(x, pair):

@@ -31,7 +31,7 @@ from itertools import accumulate
 from math import gcd, isqrt, lcm
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .exact import MAX_DIGITS, RootValue, format_rational, parse_rational
+from .exact import MAX_DIGITS, InputError, RootValue, format_rational, parse_rational
 
 EntryLike = Union[Mapping[int, Fraction], Iterable[tuple[int, Fraction]]]
 
@@ -48,9 +48,9 @@ class Point:
         coords = {}
         for index, value in items:
             if not isinstance(index, int) or index < 1:
-                raise ValueError(f"indices must be positive integers, got {index!r}")
+                raise InputError(f"indices must be positive integers, got {index!r}")
             if index in coords:
-                raise ValueError(f"duplicate index {index}")
+                raise InputError(f"duplicate index {index}")
             coords[index] = Fraction(value)
         support = sorted(coords)
         den = lcm(*(value.denominator for value in coords.values()))
@@ -148,14 +148,14 @@ class Point:
     def from_json(cls, data: dict) -> "Point":
         coords = data.get("coords", {}) if isinstance(data, dict) else None
         if not isinstance(coords, dict):
-            raise ValueError('a point must be a JSON object {"coords": {"index": "p/q", ...}}')
+            raise InputError('a point must be a JSON object {"coords": {"index": "p/q", ...}}')
         # ASCII digits only: int() also takes spaces, underscores and
         # other scripts' digits
         for key in coords:
             if not (key.isascii() and key.isdigit()):
-                raise ValueError(f"invalid point index: {key!r} (expected ASCII digits)")
+                raise InputError(f"invalid point index: {key!r} (expected ASCII digits)")
             if len(key) > MAX_DIGITS:
-                raise ValueError(f"invalid point index: more than {MAX_DIGITS} digits")
+                raise InputError(f"invalid point index: more than {MAX_DIGITS} digits")
         return cls((int(key), parse_rational(text)) for key, text in coords.items())
 
 
@@ -165,7 +165,7 @@ ZERO = Point()
 def unit(index: int) -> Point:
     """The standard unit vector at the given 1-based index."""
     if index < 1:
-        raise ValueError(f"indices must be positive integers, got {index!r}")
+        raise InputError(f"indices must be positive integers, got {index!r}")
     return Point._from_ints((index,), (1,), 1)
 
 

@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .exact import (
+    InputError,
     RootValue,
     floor_root,
     format_rational,
@@ -28,12 +29,8 @@ from .space import Point, add, m_index, scale, unit
 from .clopen import Schedule, first_failing_n, in_A
 
 
-class SourceFailureError(Exception):
+class SourceFailureError(InputError):
     """The unbounded source could not produce a point past the threshold."""
-
-
-class InvalidEpsilonError(Exception):
-    """The generalized construction needs a positive ball radius."""
 
 
 #: Maps a norm threshold to a point whose norm exceeds it (exactly checked).
@@ -57,7 +54,7 @@ class VSpec:
     def __post_init__(self):
         object.__setattr__(self, "ball_radius", Fraction(self.ball_radius))
         if self.ball_radius <= 0:
-            raise ValueError("ball_radius must be positive")
+            raise InputError("ball_radius must be positive")
 
 
 def _norm_exceeds(point: Point, threshold: RootValue) -> bool:
@@ -74,7 +71,7 @@ def ray_source(direction: Optional[Point] = None) -> PointSource:
     if direction is None:
         direction = unit(1)
     if direction.is_zero():
-        raise ValueError("ray direction must be nonzero")
+        raise InputError("ray direction must be nonzero")
     norm_sq = direction.norm_sq()
 
     def source(threshold: RootValue) -> Point:
@@ -244,10 +241,8 @@ def verify_witness(x: Point, y: Point, z: Point, m_star: int, l_star: int,
 def generalized_witness(k_source: PointSource, eps: Fraction,
                         schedule: Schedule) -> WitnessRecord:
     """Same construction for an arbitrary unbounded set K and ball B(0, eps):
-    some x in K plus some y with |y| < eps lands outside O."""
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise InvalidEpsilonError(f"eps must be positive, got {eps}")
+    some x in K plus some y with |y| < eps lands outside O. `VSpec` rejects
+    eps <= 0."""
     return construct_witness(VSpec(eps, k_source), schedule)
 
 

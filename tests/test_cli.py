@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from erdos_clopen import cli
 from erdos_clopen.cli import EXIT_INVALID, EXIT_OK, main
 
 
@@ -459,6 +460,70 @@ class TestOutputDiscipline:
         code, _, err = run_cli(capsys, "check", "--point", "/nonexistent.json",
                                "--set", "A")
         assert code == EXIT_INVALID
+
+
+class TestInputErrors:
+    """Exit 2 is reserved for an `InputError` or an `OSError`: malformed
+    input is one line of stderr, and any other exception propagates."""
+
+    @pytest.mark.parametrize("role", ["point", "schedule", "source"])
+    def test_deeply_nested_json_exits_2(self, capsys, tmp_path, role):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        ok_point = tmp_path / "p.json"
+        ok_point.write_text(json.dumps({"coords": {"1": "1/1"}}))
+        argv = {
+            "point": ["check", "--point", str(deep), "--set", "A"],
+            "schedule": ["check", "--point", str(ok_point), "--set", "O",
+                         "--schedule", str(deep)],
+            "source": ["witness", "--ball-radius", "1", "--source", f"file:{deep}"],
+        }[role]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_INVALID and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("error", [ValueError, KeyError])
+    def test_library_bug_is_not_input(self, capsys, monkeypatch, point_file, error):
+        def broken(*args, **kwargs):
+            raise error("bug")
+
+        monkeypatch.setattr(cli, "openness_radius", broken)
+        p = point_file("p.json", {"1": "1/1"})
+        with pytest.raises(error):
+            main(["radius", "--point", p, "--kind", "open"])
+
+    @pytest.mark.parametrize("name, content, extra, message", [
+        ("syntax", b'{"coords": ', [],
+         "Expecting value: line 1 column 12 (char 11)"),
+        ("utf8", b'{"coords": {"1": "\xff"}}', [],
+         "'utf-8' codec can't decode byte 0xff in position 18: invalid start byte"),
+        ("den_cap", b'{"coords": {"1": "2/1", "2": "1/1"}}', ["--den-cap", "0"],
+         "den_cap must be >= 1, got 0"),
+    ])
+    def test_malformed_point_or_flag_message(self, capsys, tmp_path, name, content,
+                                             extra, message):
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(content)
+        code, out, err = run_cli(capsys, "radius", "--point", str(path),
+                                 "--kind", "closed", *extra)
+        assert code == EXIT_INVALID and out == ""
+        assert err == f"error: {message}\n"
+
+    def test_zero_schedule_scale_message(self, capsys, point_file, tmp_path):
+        schedule = tmp_path / "sched.json"
+        schedule.write_text(json.dumps({"alpha_scale": "0/1"}))
+        code, out, err = run_cli(capsys, "check", "--point", point_file("p.json", {}),
+                                 "--set", "O", "--schedule", str(schedule))
+        assert code == EXIT_INVALID and out == ""
+        assert err == "error: schedule scales must be positive\n"
+
+    def test_file_source_object_message(self, capsys, tmp_path):
+        pts = tmp_path / "pts.json"
+        pts.write_text(json.dumps({"coords": {"1": "9/1"}}))
+        code, out, err = run_cli(capsys, "witness", "--ball-radius", "1",
+                                 "--source", f"file:{pts}")
+        assert code == EXIT_INVALID and out == ""
+        assert err == "error: point file must hold a JSON array of points\n"
 
 
 class TestPinnedOutputBytes:

@@ -7,11 +7,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from erdos_clopen.exact import RootValue, is_rational_square
+from erdos_clopen.exact import InputError, RootValue, is_rational_square
 from erdos_clopen.space import Point, unit
 from erdos_clopen.clopen import DEFAULT_SCHEDULE, Schedule, first_failing_n, in_O
 from erdos_clopen.witness import (
-    InvalidEpsilonError,
     SourceFailureError,
     VSpec,
     WitnessCase,
@@ -288,9 +287,9 @@ class TestGeneralizedWitness:
         oracle_recheck(record)
 
     def test_rejects_nonpositive_eps(self):
-        with pytest.raises(InvalidEpsilonError):
+        with pytest.raises(InputError):
             generalized_witness(ray_source(), F(0), DEFAULT_SCHEDULE)
-        with pytest.raises(InvalidEpsilonError):
+        with pytest.raises(InputError):
             generalized_witness(ray_source(), F(-1, 2), DEFAULT_SCHEDULE)
 
     def test_first_ray_point_past_threshold_is_used(self):
