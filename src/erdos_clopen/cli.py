@@ -40,6 +40,7 @@ from .witness import (
     refute_group_compatibility,
 )
 from .harness import (
+    CLAIM_IDS,
     InvalidParamsError,
     SampleConfig,
     run_suite,
@@ -107,7 +108,7 @@ def _load_json(path: str) -> dict:
     except InputError:
         raise
     except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nested too deep
-        raise InputError(str(exc)) from exc
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def _load_point(path: str) -> Point:
@@ -191,8 +192,8 @@ def _cmd_refute(args) -> int:
     return EXIT_OK if verdict.holds else EXIT_VIOLATION
 
 
-_CLAIM_ALIASES = {"1": "C1", "2": "C2", "3": "C3", "4": "C4", "5": "C5",
-                  "remark": "Remark"}
+#: "1" -> "C1", ..., "remark" -> "Remark"
+_CLAIM_ALIASES = {claim.lower().removeprefix("c"): claim for claim in CLAIM_IDS}
 
 
 def _cmd_verify(args) -> int:
@@ -202,7 +203,7 @@ def _cmd_verify(args) -> int:
         token = token.strip()
         if token.lower() not in _CLAIM_ALIASES:
             raise InvalidParamsError(
-                f"unknown claim {token!r} (expected 1,2,3,4,5,remark)")
+                f"unknown claim {token!r} (expected {','.join(_CLAIM_ALIASES)})")
         claims.append(_CLAIM_ALIASES[token.lower()])
     config = SampleConfig(
         max_support=args.max_support,
@@ -286,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     refute.set_defaults(handler=_cmd_refute)
 
     verify = sub.add_parser("verify", help="run the claim-verification suite")
-    verify.add_argument("--claims", default="1,2,3,4,5,remark")
+    verify.add_argument("--claims", default=",".join(_CLAIM_ALIASES))
     verify.add_argument("--samples", type=_parse_int, default=10000, metavar="N")
     verify.add_argument("--seed", type=_parse_int, default=42, metavar="K")
     verify.add_argument("--inner", type=_parse_int, default=16, metavar="M",

@@ -106,18 +106,18 @@ DEFAULT_PAIR = AlphaBetaPair(RootValue(Fraction(2), 4), RootValue(Fraction(1, 2)
 class Schedule:
     """The threshold sequences alpha_n = a*n*2^(1/4) and beta_n = b*sqrt(2)/n.
 
-    alpha_n is strictly increasing and unbounded with alpha_n^2 = a^2*n^2*sqrt(2)
-    irrational; beta_n strictly decreases to 0 and is irrational. Any positive
-    rational scaling constants a, b keep every side condition (the factor 2
-    under the root can never be absorbed into a rational square), so
-    validation reduces to positivity plus constructing the n=1 roots.
-    The integers (u, v, s, t) of a = u/v and b = s/t are read once into
-    `_scales`, from which O membership (`first_failing_n`) is decided
-    directly. Threshold pairs serve the certificates and witnesses only:
-    each comes from the cached `pair_at(n)`, built from `_scales`, and each
-    RootValue still re-checks its base. `_scales` is also the pair cache's
-    key: equal schedules have equal integers and share cache entries; it
-    takes no part in ==, hash or repr.
+    alpha_n is strictly increasing and unbounded with alpha_n^2 =
+    a^2*n^2*sqrt(2) irrational; beta_n strictly decreases to 0 and is
+    irrational. Any positive rational scaling constants a, b keep every side
+    condition: the bases alpha_n^4 = 2*a^4*n^4 and beta_n^2 = 2*b^2/n^2 are
+    twice a rational square, so never one themselves, and validation reduces
+    to positivity; building a schedule builds no pair. The integers (u, v,
+    s, t) of a = u/v and b = s/t are read once into `_scales`, from which O
+    membership (`first_failing_n`) is decided directly. Threshold pairs
+    serve the certificates and witnesses only: each comes from the cached
+    `pair_at(n)`, built from `_scales`, and each RootValue still checks its
+    base. `_scales` is also the pair cache's key: equal schedules have equal
+    integers and share cache entries; it takes no part in ==, hash or repr.
     """
 
     alpha_scale: Fraction = Fraction(1)
@@ -132,7 +132,6 @@ class Schedule:
             raise InputError("schedule scales must be positive")
         object.__setattr__(self, "_scales",
                            (a.numerator, a.denominator, b.numerator, b.denominator))
-        self.pair_at(1)  # surfaces invalid roots immediately
 
     def pair_at(self, n: int) -> AlphaBetaPair:
         if type(n) is not int or n < 1:  # bool is an int subclass, not an index
@@ -167,8 +166,8 @@ class Schedule:
         if not isinstance(data, dict):
             raise InputError('a schedule must be a JSON object {"alpha_scale": "p/q", ...}')
         degree = data.get("degree", 4)
-        if degree != 4:
-            raise InputError(f"schedule degree must be 4, got {degree}")
+        if type(degree) is not int or degree != 4:  # not "4", 4.0 or true
+            raise InputError(f"schedule degree must be 4, got {degree!r}")
         return cls(
             parse_rational(data.get("alpha_scale", "1/1")),
             parse_rational(data.get("beta_scale", "1/1")),

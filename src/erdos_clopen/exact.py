@@ -10,23 +10,22 @@ and to two choices of a rational: the largest one below a value with a
 capped denominator (certified radius bounds) and the simplest one inside
 an interval (the witness rational q).
 
-A positive rational s compares to base^(1/d) exactly as s^d compares to
-base. Any other operand is put in canonical form once, by `_Value.of`
-(integer radicands, rationally dependent root terms merged; radicals in
-distinct classes are linearly independent over the rationals, so the zero
-test is exact). Each value has one integer enclosure lo/den < value <
-hi/den, whose root bounds come from integer square roots and which
-`_Value.settle` refines by doubling its precision until a decision holds
-at both ends. An order is read from the two operands' enclosures; only
-when they overlap is the merged difference of the two canonical forms
-built and its sign, zero test included, decided exactly. The two choices
-are made by integer continued fractions on the ends of a value's
-enclosure: a Stern-Brocot walk from the lower end whose steps are
-quotients of integers, checked against the upper end by one product with
-the walk's Farey successor, and the simplest-rational recursion over
-partial quotients. A certificate's bound below a minimum is read off the
-canonical form and enclosure the minimum's comparisons already built. No
-floating point is involved anywhere.
+Every operand, a lone rational or root included, is put in canonical
+form once, by `_Value.of` (integer radicands, rationally dependent root
+terms merged; radicals in distinct classes are linearly independent over
+the rationals, so the zero test is exact). Each value has one integer
+enclosure lo/den < value < hi/den, whose root bounds come from integer
+square roots and which `_Value.settle` refines by doubling its precision
+until a decision holds at both ends. An order is read from the two
+operands' enclosures; only when they overlap is the merged difference of
+the two canonical forms built and its sign, zero test included, decided
+exactly. The two choices are made by integer continued fractions on the
+ends of a value's enclosure: a Stern-Brocot walk from the lower end
+whose steps are quotients of integers, checked against the upper end by
+one product with the walk's Farey successor, and the simplest-rational
+recursion over partial quotients. A certificate's bound below a minimum
+is read off the canonical form and enclosure the minimum's comparisons
+already built. No floating point is involved anywhere.
 
 `Fraction` is the rational type of the public API; it already maintains
 the canonical form (positive denominator, gcd 1).
@@ -178,28 +177,6 @@ class RootValue:
 
     def to_json(self) -> dict:
         return {"base": f"{self.num}/{self.den}", "degree": self.degree}
-
-
-def cmp_rational_vs_root(s: Fraction, t: RootValue) -> Ordering:
-    """Exact order of the rational s against the irrational t.
-
-    s <= 0 is always LESS (t is positive); otherwise s vs base^(1/d) is
-    decided by s^d vs base. EQUAL cannot occur: s^d == base would make
-    base a rational square, which RootValue rejects.
-    """
-    if s <= 0:
-        return Ordering.LESS
-    if t.degree == 2:
-        power = s * s
-    else:
-        sq = s * s
-        power = sq * sq
-    base = t.base
-    if power < base:
-        return Ordering.LESS
-    if power > base:
-        return Ordering.GREATER
-    raise InvalidRootError(f"base {base} is a perfect {t.degree}th power")
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +416,12 @@ def _order(a: _Value, b: _Value) -> int:
     if b_hi * a_den < a_lo * b_den:
         return 1
     return (a - b).sign()
+
+
+def cmp_rational_vs_root(s: Fraction, t: RootValue) -> Ordering:
+    """Exact order of the rational s against the irrational t, read like
+    any other order from the two enclosures; never EQUAL."""
+    return Ordering(_order(_Value.of(s), _Value.of(t)))
 
 
 def cmp_root_expr(lhs: ExprLike, rhs: ExprLike) -> Ordering:

@@ -246,31 +246,21 @@ def _verify_c1(pair: AlphaBetaPair, config: SampleConfig) -> ClaimReport:
     return report
 
 
-def _verify_c2(pair: AlphaBetaPair, config: SampleConfig) -> ClaimReport:
-    """Certified closedness radii around points outside A keep the
-    perturbed neighborhood outside A."""
-    report = ClaimReport("C2", config.count, 0)
-    for draw in range(config.count):
-        z = sample_point(config, draw)
-        if in_A(z, pair):
-            continue
-        report.eligible += 1
-        _check_perturbations(report, draw, z, closedness_radius(z, pair), 2, config,
-                             lambda y: in_A(y, pair), "in-radius perturbation entered A")
-    return report
-
-
-def _verify_c3(pair: AlphaBetaPair, config: SampleConfig) -> ClaimReport:
-    """Certified openness radii around points of A keep the perturbed
-    neighborhood inside A."""
-    report = ClaimReport("C3", config.count, 0)
+def _verify_radius(claim: str, inside: bool, salt: int, detail: str,
+                   pair: AlphaBetaPair, config: SampleConfig) -> ClaimReport:
+    """Certified radii keep the perturbed neighborhood on its point's side
+    of A: closedness radii around points outside A (C2), openness radii
+    around points of A (C3)."""
+    report = ClaimReport(claim, config.count, 0)
+    # looked up per call, not bound at import: a rebound module global is used
+    radius = openness_radius if inside else closedness_radius
     for draw in range(config.count):
         x = sample_point(config, draw)
-        if not in_A(x, pair):
+        if in_A(x, pair) != inside:
             continue
         report.eligible += 1
-        _check_perturbations(report, draw, x, openness_radius(x, pair), 3, config,
-                             lambda y: not in_A(y, pair), "in-radius perturbation escaped A")
+        _check_perturbations(report, draw, x, radius(x, pair), salt, config,
+                             lambda y: in_A(y, pair) != inside, detail)
     return report
 
 
@@ -333,8 +323,12 @@ def _verify_witnesses(claim: str, salt: int, radius_key: str, build,
 
 
 #: claim id -> (runner, the type of its params), in report order
-_RUNNERS = {"C1": (_verify_c1, AlphaBetaPair), "C2": (_verify_c2, AlphaBetaPair),
-            "C3": (_verify_c3, AlphaBetaPair), "C4": (_verify_c4, Schedule),
+_RUNNERS = {"C1": (_verify_c1, AlphaBetaPair),
+            "C2": (partial(_verify_radius, "C2", False, 2, "in-radius perturbation entered A"),
+                   AlphaBetaPair),
+            "C3": (partial(_verify_radius, "C3", True, 3, "in-radius perturbation escaped A"),
+                   AlphaBetaPair),
+            "C4": (_verify_c4, Schedule),
             "C5": (partial(_verify_witnesses, "C5", 5, "r_star",
                            lambda r, source, s: construct_witness(VSpec(r, source), s)),
                    Schedule),

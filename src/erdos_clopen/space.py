@@ -41,7 +41,7 @@ _set = object.__setattr__
 class Point:
     """Immutable sparse sequence with nonzero rational coordinates."""
 
-    __slots__ = ("support", "_nums", "_den", "_prefix_sq", "_den_sq", "_norm_sq")
+    __slots__ = ("support", "_nums", "_den", "_prefix_sq", "_den_sq")
 
     def __init__(self, entries: EntryLike = ()):
         items = entries.items() if isinstance(entries, Mapping) else entries
@@ -73,7 +73,6 @@ class Point:
         _set(self, "_den", den)
         _set(self, "_prefix_sq", tuple(accumulate(n * n for n in nums)))
         _set(self, "_den_sq", den * den)
-        _set(self, "_norm_sq", None)
         return self
 
     @classmethod
@@ -103,11 +102,7 @@ class Point:
 
     def norm_sq(self) -> Fraction:
         """Exact sum of squared coordinates."""
-        cached = self._norm_sq
-        if cached is None:
-            cached = Fraction(self._prefix_sq[-1] if self.support else 0, self._den_sq)
-            _set(self, "_norm_sq", cached)
-        return cached
+        return Fraction(self._prefix_sq[-1] if self.support else 0, self._den_sq)
 
     def prefix_norm_sq(self, index: int) -> Fraction:
         """Exact sum of squared coordinates over positions <= index."""

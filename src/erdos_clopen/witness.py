@@ -190,21 +190,22 @@ def verify_witness(x: Point, y: Point, z: Point, m_star: int, l_star: int,
     z_l = z.coordinate(l_star)
     z_in_A_star = in_A(z, pair)
     failing = first_failing_n(z, schedule)  # None exactly when z is in O
+    y_sq, r_sq, x_plus_y = y.norm_sq(), r_star * r_star, add(x, y)
 
     checks = [
         {
             "check": "y_in_ball",  # |y|^2 = q^2 < r*^2
-            "lhs": format_rational(y.norm_sq()),
-            "rhs": format_rational(r_star * r_star),
+            "lhs": format_rational(y_sq),
+            "rhs": format_rational(r_sq),
             "relation": "<",
-            "holds": y.norm_sq() < r_star * r_star,
+            "holds": y_sq < r_sq,
         },
         {
             "check": "z_is_x_plus_y",
-            "lhs": (x + y).to_json(),
+            "lhs": x_plus_y.to_json(),
             "rhs": z.to_json(),
             "relation": "==",
-            "holds": add(x, y) == z,
+            "holds": x_plus_y == z,
         },
         {
             "check": "m_chain",  # m_z <= m_x < l*

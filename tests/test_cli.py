@@ -507,7 +507,18 @@ class TestInputErrors:
         code, out, err = run_cli(capsys, "radius", "--point", str(path),
                                  "--kind", "closed", *extra)
         assert code == EXIT_INVALID and out == ""
-        assert err == f"error: {message}\n"
+        named = f"{path}: " if name in ("syntax", "utf8") else ""  # a JSON error names its file
+        assert err == f"error: {named}{message}\n"
+
+    def test_malformed_schedule_is_named(self, capsys, point_file, tmp_path):
+        """With a good point and a broken schedule, the message names the
+        schedule file, so the user knows which of the two to mend."""
+        schedule = tmp_path / "s.json"
+        schedule.write_bytes(b'{"degree": ')
+        code, out, err = run_cli(capsys, "check", "--point", point_file("p.json", {"1": "1/1"}),
+                                 "--set", "O", "--schedule", str(schedule))
+        assert code == EXIT_INVALID and out == ""
+        assert err == f"error: {schedule}: Expecting value: line 1 column 12 (char 11)\n"
 
     def test_zero_schedule_scale_message(self, capsys, point_file, tmp_path):
         schedule = tmp_path / "sched.json"

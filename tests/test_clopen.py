@@ -10,7 +10,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from erdos_clopen.exact import Ordering, RootValue, cmp_root_expr, RootExpr
+from erdos_clopen.exact import InputError, Ordering, RootValue, cmp_root_expr, RootExpr
 from erdos_clopen.space import ZERO, Point
 from erdos_clopen.harness import SampleConfig, sample_point
 from erdos_clopen.clopen import (
@@ -100,6 +100,31 @@ class TestSchedule:
         with pytest.raises(ValueError):
             Schedule.from_json({"alpha_scale": "1/1", "beta_scale": "1/1",
                                 "degree": 2})
+
+    @pytest.mark.parametrize("degree, shown", [("4", "'4'"), (4.0, "4.0"), (True, "True"),
+                                               (2, "2")])
+    def test_degree_must_be_the_int_4(self, degree, shown):
+        with pytest.raises(InputError) as raised:
+            Schedule.from_json({"alpha_scale": "1/1", "degree": degree})
+        assert str(raised.value) == f"schedule degree must be 4, got {shown}"
+
+    def test_building_a_schedule_builds_no_pair(self):
+        _cached_pair.cache_clear()
+        Schedule(F(3, 7), F(5, 2))
+        Schedule.from_json({"alpha_scale": "2/1", "beta_scale": "1/3"})
+        info = _cached_pair.cache_info()
+        assert (info.hits, info.misses) == (0, 0)
+
+    @given(st.integers(1, 10 ** 12), st.integers(1, 10 ** 12), st.integers(1, 10 ** 12),
+           st.integers(1, 10 ** 12), st.integers(1, 10 ** 6))
+    @settings(max_examples=300, deadline=None)
+    def test_every_pair_is_valid(self, u, v, s, t, n):
+        """2*u^4*n^4/v^4 and 2*s^2/(t^2*n^2) are twice a rational square, so
+        never a square themselves: no index of any schedule has a rational
+        alpha_n^2 or beta_n, and `Schedule()` need not build a pair to find out."""
+        pair = Schedule(F(u, v), F(s, t)).pair_at(n)
+        assert pair.alpha.base == 2 * F(u * n, v) ** 4
+        assert pair.beta_sq == 2 * F(s, t * n) ** 2
 
     def test_least_n_with_alpha_above(self):
         s = DEFAULT_SCHEDULE

@@ -3,7 +3,7 @@
 import hashlib
 import random
 from math import gcd
-from fractions import Fraction as F
+from fractions import Fraction, Fraction as F
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -892,3 +892,81 @@ class TestOneWalkPerBound:
         assert settles[0] == [1, 0]
         rounds, walks = settles[-1]
         assert rounds == walks >= 2 and len(settles) == 2
+
+
+# The order of a rational against a root before it went through `_order`,
+# kept verbatim as the reference: s <= 0 is LESS, otherwise s^d vs base.
+
+def reference_cmp_rational_vs_root(s: Fraction, t: RootValue) -> Ordering:
+    """Exact order of the rational s against the irrational t.
+
+    s <= 0 is always LESS (t is positive); otherwise s vs base^(1/d) is
+    decided by s^d vs base. EQUAL cannot occur: s^d == base would make
+    base a rational square, which RootValue rejects.
+    """
+    if s <= 0:
+        return Ordering.LESS
+    if t.degree == 2:
+        power = s * s
+    else:
+        sq = s * s
+        power = sq * sq
+    base = t.base
+    if power < base:
+        return Ordering.LESS
+    if power > base:
+        return Ordering.GREATER
+    raise InvalidRootError(f"base {base} is a perfect {t.degree}th power")
+
+
+def convergents(base: int, degree: int, bits: int = 512) -> list:
+    """The continued-fraction convergents of base^(1/degree) that the two
+    ends of its 2^-bits enclosure agree on, which are the root's own."""
+    r = floor_root(base << degree * bits, degree)
+    xp, xq, yp, yq = r, 1 << bits, r + 1, 1 << bits
+    h0, h1, k0, k1 = 0, 1, 1, 0
+    found = []
+    while xq and yq and xp // xq == yp // yq:
+        a = xp // xq
+        h0, h1, k0, k1 = h1, a * h1 + h0, k1, a * k1 + k0
+        found.append(F(h1, k1))
+        xp, xq, yp, yq = xq, xp - a * xq, yq, yp - a * yq
+    return found
+
+
+SQRT2_CONVERGENTS = convergents(2, 2)
+FOURTH_ROOT2_CONVERGENTS = convergents(2, 4)
+non_square_bases = st.fractions(min_value=F(1, 10 ** 6), max_value=10 ** 6,
+                                max_denominator=10 ** 6).filter(lambda f: not _is_square(f))
+
+
+class TestRationalVsRootThroughOrder:
+    def test_convergents_found(self):
+        assert SQRT2_CONVERGENTS[:4] == [F(1), F(3, 2), F(7, 5), F(17, 12)]
+        assert FOURTH_ROOT2_CONVERGENTS[:4] == [F(1), F(6, 5), F(19, 16), F(25, 21)]
+        assert len(SQRT2_CONVERGENTS) > 100 and len(FOURTH_ROOT2_CONVERGENTS) > 100
+
+    @given(st.fractions(max_denominator=10 ** 6), non_square_bases, st.sampled_from([2, 4]))
+    @settings(max_examples=400, deadline=None)
+    @example(F(3), F(2), 4)
+    @example(F(0), F(1, 2), 2)
+    def test_matches_power_reference(self, s, base, degree):
+        t = RootValue(base, degree)
+        assert cmp_rational_vs_root(s, t) == reference_cmp_rational_vs_root(s, t)
+
+    @given(st.fractions(max_value=0), non_square_bases, st.sampled_from([2, 4]))
+    @settings(max_examples=200, deadline=None)
+    def test_nonpositive_matches_reference(self, s, base, degree):
+        t = RootValue(base, degree)
+        assert cmp_rational_vs_root(s, t) == reference_cmp_rational_vs_root(s, t) \
+            == Ordering.LESS
+
+    @given(st.sampled_from([(SQRT2_CONVERGENTS, 2), (FOURTH_ROOT2_CONVERGENTS, 4)])
+           .flatmap(lambda spec: st.tuples(st.sampled_from(spec[0]), st.just(spec[1]))))
+    @settings(max_examples=300, deadline=None)
+    @example((SQRT2_CONVERGENTS[-1], 2))
+    @example((FOURTH_ROOT2_CONVERGENTS[-1], 4))
+    def test_convergents_match_reference(self, convergent_and_degree):
+        s, degree = convergent_and_degree
+        t = RootValue(F(2), degree)
+        assert cmp_rational_vs_root(s, t) == reference_cmp_rational_vs_root(s, t)

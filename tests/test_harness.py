@@ -14,6 +14,7 @@ from erdos_clopen.clopen import (
     in_A,
     openness_radius,
 )
+from erdos_clopen import harness
 from erdos_clopen.exact import floor_root
 from erdos_clopen.space import ZERO, Point, add, scale
 from erdos_clopen.harness import (
@@ -321,6 +322,35 @@ class TestVerifyClaim:
             params = DEFAULT_PAIR if claim in ("C1", "C2", "C3") else DEFAULT_SCHEDULE
             report = verify_claim(claim, params, config)
             assert report.passed and report.samples_run == 0
+
+
+class TestRadiusClaimsShareOneLoop:
+    @pytest.mark.parametrize("claim, counted, idle", [
+        ("C2", "closedness_radius", "openness_radius"),
+        ("C3", "openness_radius", "closedness_radius")])
+    def test_one_certificate_per_eligible_draw(self, monkeypatch, claim, counted, idle):
+        """C2 and C3 call their radius through the module global, once per
+        eligible draw, so a rebound global sees every call."""
+        calls = {counted: 0, idle: 0}
+
+        def counting(name):
+            original = getattr(harness, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(harness, name, counting(name))
+        config = SampleConfig(seed=7, count=120, count_inner=2)
+        report = verify_claim(claim, DEFAULT_PAIR, config)
+        assert report.passed
+        outside = sum(not in_A(sample_point(config, draw), DEFAULT_PAIR)
+                      for draw in range(config.count))
+        assert report.eligible == (outside if claim == "C2" else config.count - outside)
+        assert 0 < report.eligible < config.count
+        assert calls == {counted: report.eligible, idle: 0}
 
 
 class TestPinnedViolationRecords:
