@@ -16,7 +16,7 @@ from .exact import (
     parse_rational,
     rational_in_interval,
 )
-from .space import ZERO, Point, add, m_index, norm_sq, scale, unit
+from .space import ZERO, Point, add, m_index, scale, unit
 from .clopen import (
     DEFAULT_PAIR,
     DEFAULT_SCHEDULE,

@@ -271,19 +271,19 @@ def build_parser() -> argparse.ArgumentParser:
     add_out_flag(radius)
     radius.set_defaults(handler=_cmd_radius)
 
+    def add_witness_flags(p):
+        p.add_argument("--ball-radius", required=True, metavar="P/Q")
+        p.add_argument("--source", default="ray", metavar="SRC",
+                       help="'ray' or 'file:PTS.json'")
+        add_schedule_flag(p)
+        add_out_flag(p)
+
     witness = sub.add_parser("witness", help="construct one V+V counterexample")
-    witness.add_argument("--ball-radius", required=True, metavar="P/Q")
-    witness.add_argument("--source", default="ray", metavar="SRC",
-                         help="'ray' or 'file:PTS.json'")
-    add_schedule_flag(witness)
-    witness.add_argument("--out", metavar="W.json")
+    add_witness_flags(witness)
     witness.set_defaults(handler=_cmd_witness)
 
     refute = sub.add_parser("refute", help="full incompatibility verdict")
-    refute.add_argument("--ball-radius", required=True, metavar="P/Q")
-    refute.add_argument("--source", default="ray", metavar="SRC")
-    add_schedule_flag(refute)
-    refute.add_argument("--out", metavar="V.json")
+    add_witness_flags(refute)
     refute.set_defaults(handler=_cmd_refute)
 
     verify = sub.add_parser("verify", help="run the claim-verification suite")

@@ -165,6 +165,10 @@ class Schedule:
     def from_json(cls, data: dict) -> "Schedule":
         if not isinstance(data, dict):
             raise InputError('a schedule must be a JSON object {"alpha_scale": "p/q", ...}')
+        for key in data:
+            if key not in ("alpha_scale", "beta_scale", "degree"):
+                raise InputError(f"unknown schedule key {key!r} "
+                                 "(expected alpha_scale, beta_scale or degree)")
         degree = data.get("degree", 4)
         if type(degree) is not int or degree != 4:  # not "4", 4.0 or true
             raise InputError(f"schedule degree must be 4, got {degree!r}")

@@ -568,6 +568,9 @@ def _largest_at_most(val: _Value, den_cap: int) -> Fraction:
         raise InputError(f"den_cap must be >= 1, got {den_cap}")
     if val.sign() <= 0:
         raise ValueError("largest_rational_at_most expects a positive value")
+    # the walk settles once the enclosure is narrower than about den_cap^-2,
+    # so start there instead of walking at each doubling on the way up
+    val.enclosure(max(_Value._START_BITS, 2 * den_cap.bit_length() + 8))
 
     def choose(lo: int, hi: int, den: int) -> Optional[Fraction]:
         a, b, e, f = _floor_approx(lo, den, den_cap)

@@ -31,12 +31,7 @@ from .clopen import (
     o_openness_radius,
     openness_radius,
 )
-from .witness import (
-    VSpec,
-    construct_witness,
-    generalized_witness,
-    ray_source,
-)
+from .witness import VSpec, construct_witness, ray_source
 
 
 class InvalidParamsError(InputError):
@@ -301,20 +296,19 @@ def _synthetic_source(rng: SplitMix64, config: SampleConfig):
     return ray_source(direction)
 
 
-def _verify_witnesses(claim: str, salt: int, radius_key: str, build,
+def _verify_witnesses(claim: str, salt: int, radius_key: str,
                       schedule: Schedule, config: SampleConfig) -> ClaimReport:
-    """Witnesses built from random (radius, source) candidates: C5 for a
-    ball B(0, r*) inside V, Remark for an unbounded K plus a ball
-    B(0, eps). `construct_witness` runs every check of the record once and
-    raises AssertionError if one fails, so a draw fails exactly when its
-    construction does."""
+    """One witness per random (radius, source) candidate, for C5 a ball
+    B(0, r*) inside V and for Remark a ball B(0, eps) beside an unbounded K.
+    `construct_witness` runs every check of the record once and raises
+    AssertionError if one fails, so a draw fails exactly when the call raises."""
     report = ClaimReport(claim, config.count, config.count)
     for draw in range(config.count):
         rng = SplitMix64(derive_seed(config.seed, draw, salt))
         radius = _sample_rational_positive(rng, config)
         source = _synthetic_source(rng, config)
         try:
-            build(radius, source, schedule)
+            construct_witness(VSpec(radius, source), schedule)
         except Exception as exc:  # construction must never fail for valid candidates
             report.violations.append(_violation(
                 draw, None, f"construction failed: {exc!r}",
@@ -329,12 +323,8 @@ _RUNNERS = {"C1": (_verify_c1, AlphaBetaPair),
             "C3": (partial(_verify_radius, "C3", True, 3, "in-radius perturbation escaped A"),
                    AlphaBetaPair),
             "C4": (_verify_c4, Schedule),
-            "C5": (partial(_verify_witnesses, "C5", 5, "r_star",
-                           lambda r, source, s: construct_witness(VSpec(r, source), s)),
-                   Schedule),
-            "Remark": (partial(_verify_witnesses, "Remark", 6, "eps",
-                               lambda eps, source, s: generalized_witness(source, eps, s)),
-                       Schedule)}
+            "C5": (partial(_verify_witnesses, "C5", 5, "r_star"), Schedule),
+            "Remark": (partial(_verify_witnesses, "Remark", 6, "eps"), Schedule)}
 CLAIM_IDS = tuple(_RUNNERS)
 _NEEDS = {AlphaBetaPair: "an AlphaBetaPair", Schedule: "a Schedule"}
 

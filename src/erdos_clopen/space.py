@@ -109,10 +109,6 @@ class Point:
         pos = bisect_right(self.support, index)
         return Fraction(self._prefix_sq[pos - 1] if pos else 0, self._den_sq)
 
-    def tail_norm_sq(self, index: int) -> Fraction:
-        """Exact sum of squared coordinates over positions >= index."""
-        return self.norm_sq() - self.prefix_norm_sq(index - 1)
-
     def __eq__(self, other):
         return (isinstance(other, Point) and self.support == other.support
                 and self._nums == other._nums and self._den == other._den)
@@ -144,6 +140,9 @@ class Point:
         coords = data.get("coords", {}) if isinstance(data, dict) else None
         if not isinstance(coords, dict):
             raise InputError('a point must be a JSON object {"coords": {"index": "p/q", ...}}')
+        for key in data:
+            if key != "coords":
+                raise InputError(f"unknown point key {key!r} (expected 'coords')")
         # ASCII digits only: int() also takes spaces, underscores and
         # other scripts' digits
         for key in coords:
@@ -165,10 +164,6 @@ def unit(index: int) -> Point:
 
 
 def add(x: Point, y: Point) -> Point:
-    if y.is_zero():
-        return x
-    if x.is_zero():
-        return y
     return _add_ints(x, y.support, y._nums, y._den)
 
 
@@ -184,16 +179,8 @@ def _add_ints(x: Point, support: Sequence[int], nums: Sequence[int], den: int) -
 
 
 def scale(factor: Fraction, x: Point) -> Point:
-    factor = Fraction(factor)
-    if factor == 0:
-        return ZERO
-    p = factor.numerator
-    return Point._from_ints(x.support, [n * p for n in x._nums],
-                            x._den * factor.denominator)
-
-
-def norm_sq(x: Point) -> Fraction:
-    return x.norm_sq()
+    p, q = Fraction(factor).as_integer_ratio()
+    return Point._from_ints(x.support, [n * p for n in x._nums], x._den * q)
 
 
 def m_index(x: Point, alpha: RootValue) -> Optional[int]:
@@ -203,7 +190,7 @@ def m_index(x: Point, alpha: RootValue) -> Optional[int]:
     same base) is irrational and the exceedance test has no boundary case.
     Partial sums only change at support indices, so m is a support index,
     found by `_m_position` on alpha's integers; returns None exactly when
-    norm_sq(x) < alpha^2.
+    x.norm_sq() < alpha^2.
     """
     if alpha.degree != 4:
         raise ValueError(f"m_index needs a degree-4 threshold, got degree {alpha.degree}")

@@ -528,6 +528,40 @@ class TestInputErrors:
         assert code == EXIT_INVALID and out == ""
         assert err == "error: schedule scales must be positive\n"
 
+    @pytest.mark.parametrize("command", ["check", "radius", "witness"])
+    def test_misspelled_point_key_exits_2(self, capsys, tmp_path, command):
+        """A point with any key but "coords" is rejected, not read as the
+        zero point; in a `file:` source every item is checked."""
+        misspelled = {"cords": {"1": "3/1"}}
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps([{"coords": {"1": "30/1"}}, misspelled]
+                                   if command == "witness" else misspelled))
+        argv = {
+            "check": ["check", "--point", str(path), "--set", "O"],
+            "radius": ["radius", "--point", str(path), "--kind", "closed"],
+            "witness": ["witness", "--ball-radius", "1", "--source", f"file:{path}"],
+        }[command]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_INVALID and out == ""
+        assert err == "error: unknown point key 'cords' (expected 'coords')\n"
+
+    def test_empty_point_object_is_zero(self, capsys, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text("{}")
+        code, out, _ = run_cli(capsys, "check", "--point", str(path), "--set", "O")
+        assert code == EXIT_OK
+        assert json.loads(out)["member"] is True
+
+    def test_misspelled_schedule_key_exits_2(self, capsys, point_file, tmp_path):
+        """A misspelled key is rejected, not replaced by its default."""
+        schedule = tmp_path / "s.json"
+        schedule.write_text(json.dumps({"alpha_scale": "1/2", "beta_scal": "5/1"}))
+        code, out, err = run_cli(capsys, "check", "--point", point_file("p.json", {"1": "1/1"}),
+                                 "--set", "O", "--schedule", str(schedule))
+        assert code == EXIT_INVALID and out == ""
+        assert err == ("error: unknown schedule key 'beta_scal' "
+                       "(expected alpha_scale, beta_scale or degree)\n")
+
     def test_file_source_object_message(self, capsys, tmp_path):
         pts = tmp_path / "pts.json"
         pts.write_text(json.dumps({"coords": {"1": "9/1"}}))

@@ -364,7 +364,7 @@ class TestOpennessL0:
     def stepwise_l0(x: Point, pair: AlphaBetaPair) -> int:
         quarter_beta_sq = pair.beta_sq / 4
         l0 = 1
-        while x.tail_norm_sq(l0) >= quarter_beta_sq:
+        while x.norm_sq() - x.prefix_norm_sq(l0 - 1) >= quarter_beta_sq:
             l0 += 1
         return l0
 

@@ -893,6 +893,37 @@ class TestOneWalkPerBound:
         rounds, walks = settles[-1]
         assert rounds == walks >= 2 and len(settles) == 2
 
+    # inside A at the first pair of the default schedule, with m = 1
+    TWO_COORDINATES = Point({1: F(3, 2), 2: F(1, 3)})
+
+    @pytest.mark.parametrize("digits", [1000, 4000])
+    def test_large_cap_starts_at_its_precision(self, monkeypatch, digits):
+        """The bound's enclosure starts at about 2 * log2(den_cap) bits, so
+        a large cap takes one walk or two, not one per doubling on the way
+        up (ten at 10^4000)."""
+        walks = []
+        floor_approx = exact._floor_approx
+
+        def counted_walk(*args):
+            walks.append(args)
+            return floor_approx(*args)
+
+        monkeypatch.setattr(exact, "_floor_approx", counted_walk)
+        openness_radius(self.TWO_COORDINATES, DEFAULT_SCHEDULE.pair_at(1), 10 ** digits)
+        assert 1 <= len(walks) <= 2
+
+    @pytest.mark.parametrize("digits", [40, 100, 300, 1000])
+    def test_large_cap_matches_reference(self, digits):
+        cap = 10 ** digits
+        values = [near_third(above=True), near_third(above=False)]
+        values += positive_part([expr for expr, _ in seeded_two_term_exprs(6, digits)])
+        for value in values:
+            assert (largest_rational_at_most(value, cap)
+                    == reference_largest_rational_at_most(value, cap))
+        cert = openness_radius(self.TWO_COORDINATES, DEFAULT_SCHEDULE.pair_at(1), cap)
+        parts = [cert.components[key] for key in ("prefix_margin", "beta_half", "h", "a")]
+        assert cert.bound == reference_largest_rational_at_most(expr_min(*parts), cap)
+
 
 # The order of a rational against a root before it went through `_order`,
 # kept verbatim as the reference: s <= 0 is LESS, otherwise s^d vs base.

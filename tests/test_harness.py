@@ -406,8 +406,25 @@ class TestConstructionFailedRecords:
                 assert record["detail"].startswith(detail_prefix)
         return "\n".join(json.dumps(r.to_json(), sort_keys=True) for r in reports)
 
+    def test_one_construction_per_draw(self, monkeypatch):
+        calls = []
+        build = harness.construct_witness
+
+        def counted(v, schedule):
+            calls.append(v.ball_radius)
+            return build(v, schedule)
+
+        monkeypatch.setattr(harness, "construct_witness", counted)
+        counts = []
+        for claim in ("C5", "Remark"):
+            start = len(calls)
+            assert verify_claim(claim, DEFAULT_SCHEDULE, SampleConfig(seed=42, count=40)).passed
+            counts.append(len(calls) - start)
+        assert counts == [40, 40]
+
     def test_raising_builder_gives_pinned_records(self, monkeypatch):
-        """Both builders raise on every radius with an odd numerator."""
+        """The one builder, shared by C5 and Remark, raises on every radius
+        with an odd numerator."""
         from erdos_clopen import harness
 
         def raising(build, radius_of):
@@ -420,8 +437,6 @@ class TestConstructionFailedRecords:
 
         monkeypatch.setattr(harness, "construct_witness", raising(
             harness.construct_witness, lambda v, schedule: v.ball_radius))
-        monkeypatch.setattr(harness, "generalized_witness", raising(
-            harness.generalized_witness, lambda source, eps, schedule: eps))
         reports = self.reports(SampleConfig(seed=42, count=40))
         assert [len(r.violations) for r in reports] == [31, 29]
         assert reports[0].violations[0] == {

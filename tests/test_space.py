@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from itertools import accumulate
 from math import gcd
 
 import pytest
@@ -13,7 +14,6 @@ from erdos_clopen.space import (
     Point,
     add,
     m_index,
-    norm_sq,
     scale,
     unit,
 )
@@ -67,23 +67,45 @@ class TestPoint:
 
 class TestNorm:
     def test_spec_examples(self):
-        assert norm_sq(ZERO) == 0
-        assert norm_sq(pt(3, 4)) == 25
-        assert norm_sq(pt(F(1, 2), F(1, 3))) == F(13, 36)
+        assert ZERO.norm_sq() == 0
+        assert pt(3, 4).norm_sq() == 25
+        assert pt(F(1, 2), F(1, 3)).norm_sq() == F(13, 36)
 
     def test_prefix_and_tail(self):
         p = pt(2, 0, F(1, 2))
         assert p.prefix_norm_sq(1) == 4
         assert p.prefix_norm_sq(2) == 4
         assert p.prefix_norm_sq(3) == F(17, 4)
-        assert p.tail_norm_sq(1) == F(17, 4)
-        assert p.tail_norm_sq(3) == F(1, 4)
-        assert p.tail_norm_sq(4) == 0
+        assert p.norm_sq() - p.prefix_norm_sq(0) == F(17, 4)
+        assert p.norm_sq() - p.prefix_norm_sq(2) == F(1, 4)
+        assert p.norm_sq() - p.prefix_norm_sq(3) == 0
 
     @given(entry_strategy)
     def test_norm_matches_direct_sum(self, entries):
         p = Point(entries)
         assert p.norm_sq() == sum((v * v for _, v in p.entries), F(0))
+
+
+def assert_canonical(p: Point) -> None:
+    """The one stored form: increasing support, nonzero numerators over a
+    positive denominator with no common factor, and their prefix squares."""
+    assert list(p.support) == sorted(set(p.support)) and all(p._nums)
+    assert p._den > 0 and gcd(p._den, *p._nums) == 1
+    assert p._prefix_sq == tuple(accumulate(n * n for n in p._nums))
+
+
+class TestZeroOperands:
+    """`add` and `scale` take a zero operand down their one integer path,
+    which still builds the canonical point."""
+
+    @given(entry_strategy)
+    def test_zero_is_neutral_and_absorbing(self, entries):
+        x = Point(entries)
+        for got, want in ((add(x, ZERO), x), (add(ZERO, x), x), (scale(F(0), x), ZERO)):
+            assert got == want
+            assert_canonical(got)
+        zero = scale(F(0), x)
+        assert zero._den == 1 and zero._prefix_sq == ()
 
 
 class TestArithmetic:
@@ -188,8 +210,6 @@ class TestIntegerFormAgainstFractions:
             assert p.coordinate(index) == coords.get(index, 0)
             prefix = sum((v * v for i, v in expected if i <= index), F(0))
             assert p.prefix_norm_sq(index) == prefix
-            assert p.tail_norm_sq(index) == norm - sum(
-                (v * v for i, v in expected if i < index), F(0))
 
     def test_matches_fraction_reference(self):
         rng = random.Random(20211)

@@ -84,7 +84,7 @@ def scan_first_violating_index(x: Point, pair: AlphaBetaPair):
 def scan_openness_l0(x: Point, beta_sq: F) -> int:
     quarter_beta_sq = beta_sq / 4
     return next(index + 1 for index in (0,) + x.support
-                if x.tail_norm_sq(index + 1) < quarter_beta_sq)
+                if x.norm_sq() - x.prefix_norm_sq(index) < quarter_beta_sq)
 
 
 def scan_openness_h(x: Point, pair: AlphaBetaPair, l0: int) -> RootExpr:
@@ -599,7 +599,7 @@ class TestExactBoundaries:
         # beta^2 / 4, which is not below it, so l0 moves one index further
         x = Point._from_ints((1, 2, 3, 4), (8, 1, 1, 1), 4)
         pair = AlphaBetaPair(RootValue(F(2), 4), RootValue(F(1, 2), 2))
-        assert x.tail_norm_sq(3) == F(1, 8)
+        assert x.norm_sq() - x.prefix_norm_sq(2) == F(1, 8)
         cert = openness_radius(x, pair)
         assert cert.components["m"] == 1
         assert cert.components["l0"] == scan_openness_l0(x, F(1, 2)) == 4
