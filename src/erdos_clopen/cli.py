@@ -60,8 +60,7 @@ def _dumps(document) -> str:
 
 def _atomic_write(path: str, text: str) -> None:
     target = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=target.parent or Path("."),
-                               prefix=f".{target.name}.", suffix=".tmp")
+    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)

@@ -221,11 +221,7 @@ class RadiusCertificate:
 
 
 def _component_json(value):
-    if isinstance(value, RootExpr):
-        return value.to_json()
-    if isinstance(value, Fraction):
-        return format_rational(value)
-    return value
+    return value.to_json() if isinstance(value, RootExpr) else value
 
 
 def in_E_alpha(x: Point, alpha: RootValue) -> bool:
@@ -369,11 +365,14 @@ def openness_radius(x: Point, pair: AlphaBetaPair,
             bound=largest_rational_at_most(margin, den_cap),
             components={"ball_margin": margin},
         )
-    if _violation_past(x, pair, pos) is not None:
+    # |num|/D < beta iff |num| <= bound (as in `_violation_past`); this one
+    # root serves the precondition and h below
+    bn, bd = beta.num, beta.den
+    bound = isqrt(bn * x._den_sq // bd)
+    if any(abs(n) > bound for n in x._nums[pos + 1:]):
         raise PreconditionViolatedError("point is outside A; no openness radius")
     m = x.support[pos]
 
-    bn, bd = beta.num, beta.den
     # the tail sum from l only changes just past a support index (and is 0
     # past the last one), so l0 is 1 or one past some support index. Past
     # position k the tail is (total - P_k) / D^2, below beta^2/4 = bn/(4bd)
@@ -386,12 +385,11 @@ def openness_radius(x: Point, pair: AlphaBetaPair,
     beta_half = RootExpr.of_root(Fraction(1, 2), beta)
 
     # h: the closest approach to beta of |x_l| = |num|/D over l <= l0 (an
-    # empty position is 0); |num|/D < beta iff |num| <= bound. Position l0
-    # is empty or below beta/2, so the largest such b exists (0 if empty),
-    # and beta - b/D is below a/D - beta for the least a > bound iff
-    # (a + b)^2 * bd > 4*bn*D^2 (never equal: beta is irrational).
+    # empty position is 0). Position l0 is empty or below beta/2, so the
+    # largest b <= bound exists (0 if empty), and beta - b/D is below
+    # a/D - beta for the least a > bound iff (a + b)^2 * bd > 4*bn*D^2
+    # (never equal: beta is irrational).
     nums = [abs(n) for n in x._nums[:bisect_right(x.support, l0)]]
-    bound = isqrt(bn * x._den_sq // bd)
     b = max((n for n in nums if n <= bound), default=0)
     a = min((n for n in nums if n > bound), default=None)
     if a is None or (a + b) ** 2 * bd > 4 * bn * x._den_sq:

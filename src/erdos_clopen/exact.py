@@ -111,15 +111,11 @@ def is_rational_power(value: Fraction, degree: int) -> Optional[Fraction]:
     p, q = value.numerator, value.denominator
     if p <= 0:
         return None
-    rp, rq = floor_root(p, degree), floor_root(q, degree)
-    return Fraction(rp, rq) if rp ** degree == p and rq ** degree == q else None
-
-
-def is_rational_square(value: Fraction) -> bool:
-    """p/q in lowest terms is the square of a rational iff p > 0 and both
-    p and q are integer squares."""
-    p, q = value.numerator, value.denominator
-    return p > 0 and isqrt(p) ** 2 == p and isqrt(q) ** 2 == q
+    rp = floor_root(p, degree)
+    if rp ** degree != p:  # most bases stop here, at the numerator's root
+        return None
+    rq = floor_root(q, degree)
+    return Fraction(rp, rq) if rq ** degree == q else None
 
 
 class RootValue:
@@ -145,7 +141,7 @@ class RootValue:
             raise InvalidRootError(f"degree must be 2 or 4, got {degree}")
         if base.numerator <= 0:
             raise InvalidRootError(f"base must be positive, got {base}")
-        if is_rational_square(base):
+        if is_rational_power(base, 2) is not None:
             raise InvalidRootError(
                 f"base {base} is the square of a rational; {base}^(1/{degree}) "
                 "would not be irrational"

@@ -114,6 +114,8 @@ class SampleConfig:
                 f"min(max_support, max_index) must be <= {_MAX_COORDINATES}")
         if self.count < 0 or self.count_inner < 0:
             raise InvalidParamsError("count and count_inner must be >= 0")
+        if not 0 <= self.seed <= _MASK64:  # SplitMix64 keeps only 64 bits
+            raise InvalidParamsError("seed must be in [0, 2^64)")
 
     def to_json(self) -> dict:
         return asdict(self)

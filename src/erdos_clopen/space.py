@@ -120,18 +120,6 @@ class Point:
         inner = ", ".join(f"{i}: {v}" for i, v in self.entries)
         return f"Point({{{inner}}})"
 
-    def __add__(self, other: "Point") -> "Point":
-        return add(self, other)
-
-    def __sub__(self, other: "Point") -> "Point":
-        return add(self, scale(Fraction(-1), other))
-
-    def __rmul__(self, factor) -> "Point":
-        return scale(Fraction(factor), self)
-
-    def __neg__(self) -> "Point":
-        return scale(Fraction(-1), self)
-
     def to_json(self) -> dict:
         return {"coords": {str(i): format_rational(v) for i, v in self.entries}}
 

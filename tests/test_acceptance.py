@@ -20,7 +20,7 @@ from erdos_clopen.exact import (
     cmp_rational_vs_root,
     cmp_root_expr,
 )
-from erdos_clopen.space import Point, unit
+from erdos_clopen.space import Point, add, unit
 from erdos_clopen.clopen import (
     DEFAULT_PAIR,
     DEFAULT_SCHEDULE,
@@ -135,7 +135,7 @@ def _oracle_witness_recheck(record, r_star, schedule=DEFAULT_SCHEDULE):
     m = record.m_star
     if record.y.norm_sq() >= r_star * r_star:
         return "y outside the r* ball"
-    if record.x + record.y != record.z:
+    if add(record.x, record.y) != record.z:
         return "z is not x + y"
     m_x = oracle.m_index(record.x.entries, a_base(m), dps)
     m_z = oracle.m_index(record.z.entries, a_base(m), dps)
@@ -191,11 +191,11 @@ def _random_fraction(rng, max_num, max_den, signed=True):
 
 
 def _random_root(rng) -> RootValue:
-    from erdos_clopen.exact import is_rational_square
+    from erdos_clopen.exact import is_rational_power
     degree = 2 if rng.below(2) else 4
     while True:
         base = _random_fraction(rng, 60, 60, signed=False)
-        if not is_rational_square(base):
+        if is_rational_power(base, 2) is None:
             return RootValue(base, degree)
 
 

@@ -348,6 +348,21 @@ class TestVerify:
         assert proc.stderr == ("error: a draw has at most 1000 coordinates: "
                                "min(max_support, max_index) must be <= 1000\n")
 
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    def test_seeds_outside_64_bits_exit_2(self, capsys, seed):
+        """The sampler keeps a seed's low 64 bits: --seed 2^64 + 1 once
+        drew the points of --seed 1 and reported its own seed."""
+        code, out, err = run_cli(capsys, "verify", "--claims", "1", "--samples", "1",
+                                 "--seed", seed)
+        assert code == EXIT_INVALID and out == ""
+        assert err == "error: seed must be in [0, 2^64)\n"
+
+    def test_largest_64_bit_seed_runs(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--claims", "1", "--samples", "3",
+                               "--seed", str(2 ** 64 - 1))
+        assert code == EXIT_OK
+        assert json.loads(out)[0]["config"]["sample"]["seed"] == 2 ** 64 - 1
+
     def test_draws_of_1000_coordinates_run(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--samples", "1", "--claims", "1",
                                  "--max-support", "1000", "--max-index", "1000")

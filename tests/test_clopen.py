@@ -108,12 +108,18 @@ class TestSchedule:
             Schedule.from_json({"alpha_scale": "1/1", "degree": degree})
         assert str(raised.value) == f"schedule degree must be 4, got {shown}"
 
-    def test_building_a_schedule_builds_no_pair(self):
-        _cached_pair.cache_clear()
+    def test_building_a_schedule_builds_no_pair(self, pairs):
         Schedule(F(3, 7), F(5, 2))
         Schedule.from_json({"alpha_scale": "2/1", "beta_scale": "1/3"})
-        info = _cached_pair.cache_info()
-        assert (info.hits, info.misses) == (0, 0)
+        assert pairs == []
+
+    def test_pair_traffic_is_counted_with_or_without_a_cache(self, pairs):
+        # scales no other test uses, so a pair cache cannot hold this pair yet
+        schedule = Schedule(F(10 ** 40 + 1, 3), F(7, 10 ** 40 + 3))
+        first, second = schedule.pair_at(3), schedule.pair_at(3)
+        assert [entry for entry in pairs if entry[0] == "pair_at"] == [("pair_at", 3)] * 2
+        built = [pair for kind, pair in pairs if kind == "built"]
+        assert 1 <= len(built) <= 2 and first in built and second == first
 
     @given(st.integers(1, 10 ** 12), st.integers(1, 10 ** 12), st.integers(1, 10 ** 12),
            st.integers(1, 10 ** 12), st.integers(1, 10 ** 6))

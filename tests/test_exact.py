@@ -22,7 +22,6 @@ from erdos_clopen.exact import (
     floor_root,
     format_rational,
     is_rational_power,
-    is_rational_square,
     largest_rational_at_most,
     parse_rational,
     rational_in_interval,
@@ -112,7 +111,7 @@ class TestRootValue:
     @settings(max_examples=200, deadline=None)
     def test_base_is_stored_as_integers_in_lowest_terms(self, p, q, k, degree):
         base = F(p, q)
-        if is_rational_square(base):
+        if _is_square(base):
             return
         r = RootValue(F(k * p, k * q), degree)  # Fraction reduces k*p/k*q
         assert gcd(r.num, r.den) == 1 and r.den > 0
@@ -143,37 +142,47 @@ class TestRootValue:
 
 
 def near_squares():
-    """p^2/q^2 with p^2 and q^2 each nudged by -1, 0 or +1 (among them 0),
-    and 60-digit numerators and denominators, with either sign."""
-    sixty = st.integers(min_value=0, max_value=10 ** 60)
+    """Positive p^2/q^2 with p^2 and q^2 each nudged by -1, 0 or +1, and
+    60-digit numerators and denominators."""
+    sixty = st.integers(min_value=1, max_value=10 ** 60)
     nudged = st.builds(lambda p, q, dp, dq: (p * p + dp, q * q + dq),
-                       st.one_of(st.integers(0, 10 ** 6), st.integers(0, 10 ** 30)),
+                       st.one_of(st.integers(1, 10 ** 6), st.integers(1, 10 ** 30)),
                        st.one_of(st.integers(1, 10 ** 6), st.integers(1, 10 ** 30)),
                        st.sampled_from([-1, 0, 0, 1]), st.sampled_from([-1, 0, 0, 1]))
     pairs = st.one_of(nudged, st.tuples(sixty, sixty),
                       st.builds(lambda p, q: (p * p, q * q), sixty, sixty))
-    return st.builds(lambda pq, sign: sign * F(pq[0], pq[1]),
-                     pairs.filter(lambda pq: pq[1] > 0), st.sampled_from([1, -1]))
+    return st.builds(lambda pq: F(pq[0], pq[1]), pairs.filter(lambda pq: min(pq) > 0))
 
 
-class TestIsRationalSquare:
-    @given(near_squares())
+class TestRootValueRejectsSquares:
+    """RootValue rejects a positive base exactly when is_rational_power(base,
+    2) finds its rational square root, for degree 2 and 4 alike."""
+
+    @given(near_squares(), st.sampled_from([2, 4]))
+    @example(F(4, 9), 4)
+    @example(F(4, 3), 2)
     @settings(max_examples=600)
-    def test_matches_rational_power_and_root_value(self, value):
-        expected = is_rational_power(value, 2) is not None
-        assert is_rational_square(value) is expected
-        for degree in (2, 4):
-            if value > 0 and not expected:
-                assert RootValue(value, degree).base == value
-            else:
-                with pytest.raises(InvalidRootError):
-                    RootValue(value, degree)
+    def test_raises_exactly_when_rational_power_finds_a_root(self, value, degree):
+        square_root = is_rational_power(value, 2)
+        assert (square_root is not None) is _is_square(value)
+        if square_root is None:
+            assert RootValue(value, degree).base == value
+        else:
+            assert square_root * square_root == value
+            with pytest.raises(InvalidRootError):
+                RootValue(value, degree)
 
     def test_edges(self):
-        for value in (F(0), F(-1), F(-4, 9), F(2), F(1, 2), F(3, 4), F(4, 3), F(8, 9)):
-            assert not is_rational_square(value)
-        for value in (F(1), F(4, 9), F(1, 4), F(10 ** 60), F(1, 10 ** 60)):
-            assert is_rational_square(value)
+        for value in (F(2), F(1, 2), F(3, 4), F(4, 3), F(8, 9)):
+            assert is_rational_power(value, 2) is None
+            assert RootValue(value, 2).base == RootValue(value, 4).base == value
+        # squares, then nonpositive bases, which have no positive root
+        for value in (F(1), F(4, 9), F(1, 4), F(10 ** 60), F(1, 10 ** 60),
+                      F(0), F(-1), F(-4, 9)):
+            assert (is_rational_power(value, 2) is not None) is (value > 0)
+            for degree in (2, 4):
+                with pytest.raises(InvalidRootError):
+                    RootValue(value, degree)
 
 
 class TestCmpRationalVsRoot:

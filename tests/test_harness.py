@@ -89,6 +89,13 @@ class TestSampleConfig:
         with pytest.raises(InvalidParamsError):
             SampleConfig(**caps)
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 64 + 1])
+    def test_seeds_outside_64_bits_are_rejected(self, seed):
+        """SplitMix64 keeps a seed's low 64 bits, so such a seed would draw
+        the points of another seed while reporting its own."""
+        with pytest.raises(InvalidParamsError, match=r"seed must be in \[0, 2\^64\)"):
+            SampleConfig(seed=seed)
+
     @pytest.mark.parametrize("caps", [
         {"max_index": 2 ** 64, "max_numerator": 2 ** 64, "max_denominator": 2 ** 64},
         {"max_support": 2 ** 64}])
@@ -246,8 +253,9 @@ class TestPerturbWithin:
             base = sample_point(config, draw)
             bound = F(1 + draw % 11, 1 + draw % 13)
             y = perturb_within(base, bound, SplitMix64(draw), config)
-            assert (y - base).norm_sq() < bound ** 2
-            assert 4 * (y - base).norm_sq() < bound ** 2
+            step = add(y, scale(F(-1), base))
+            assert step.norm_sq() < bound ** 2
+            assert 4 * step.norm_sq() < bound ** 2
 
     def test_zero_direction_returns_base(self):
         config = SampleConfig(max_support=0, seed=1, count=1)

@@ -41,7 +41,6 @@ from erdos_clopen.clopen import (
     CertificateKind,
     RadiusCertificate,
     Schedule,
-    _cached_pair,
     _violation_past,
     closedness_radius,
     first_failing_n,
@@ -426,14 +425,6 @@ class TestRunsOfConstantM:
         assert above._prefix_sq[1] == floor_alpha_sq + 1
 
 
-def pair_lookups(call):
-    """call()'s result and the number of `Schedule.pair_at` lookups it made."""
-    _cached_pair.cache_clear()
-    result = call()
-    info = _cached_pair.cache_info()
-    return result, info.hits + info.misses
-
-
 @pytest.fixture()
 def searches(roots, monkeypatch):
     """(support size, roots taken) of every `first_failing_n` call, wherever
@@ -458,23 +449,23 @@ class TestCostByRuns:
     threshold pair, whatever the coordinates' values and however deep the
     failing index lies in a run."""
 
-    def test_thirty_digit_coordinate(self, roots):
+    def test_thirty_digit_coordinate(self, roots, pairs):
         x = Point({1: F(10 ** 30), 5: F(1, 3)})
-        failing, lookups = pair_lookups(lambda: first_failing_n(x, SCHEDULES[0]))
-        assert (lookups, len(roots)) == (0, 2)
+        failing = first_failing_n(x, SCHEDULES[0])
+        assert (pairs, len(roots)) == ([], 2)
         assert failing == 5 == scan_first_failing_n(x, SCHEDULES[0])
 
     @pytest.mark.parametrize("failing", [2, 3, 17, 1000, 10 ** 6, 10 ** 12])
-    def test_failing_index_deep_in_a_long_run(self, roots, failing):
+    def test_failing_index_deep_in_a_long_run(self, roots, pairs, failing):
         # beta_n = sqrt(2)/n, and c = sqrt(2)/(failing - 1/2) to 40 digits
         # lies between beta_failing and beta_(failing - 1)
         c = F(isqrt(8 * 10 ** 80), 10 ** 40 * (2 * failing - 1))
         schedule = SCHEDULES[0]
         x = Point({1: F(10 ** 30), 5: c})
-        found, lookups = pair_lookups(lambda: first_failing_n(x, schedule))
+        found = first_failing_n(x, schedule)
         # the run of m = 1 is about 8 * 10^29 indices long: its tail bound
         # is the failing index, with no search inside the run
-        assert (lookups, len(roots)) == (0, 2)
+        assert (pairs, len(roots)) == ([], 2)
         assert found == failing
         assert in_A(x, schedule.pair_at(failing - 1))
         assert not in_A(x, schedule.pair_at(failing))
@@ -1008,6 +999,21 @@ class TestRootCounts:
         assert roots == []
         assert m_index(Point({1: F(1), 4: F(1)}), alpha) == 4  # norm 2: one root
         assert len(roots) == 1
+
+    @pytest.mark.parametrize("x", [
+        Point({1: F(2), 3: F(1, 3)}),
+        Point({2: F(-7, 5), 4: F(1, 10), 9: F(-1, 5)}),
+        Point({1: F(3, 2)}),  # no coordinate after m
+    ])
+    @pytest.mark.parametrize("schedule", SCHEDULES[:2])  # m exists at n = 1
+    def test_openness_radius_takes_one_beta_root(self, roots, schedule, x):
+        """The precondition (no coordinate after m reaches beta) and the
+        search for h read one isqrt(bn * D^2 // bd)."""
+        pair = schedule.pair_at(1)
+        assert m_index(x, pair.alpha) is not None and in_A(x, pair)
+        del roots[:]
+        openness_radius(x, pair)
+        assert roots.count(pair.beta.num * x._den_sq // pair.beta.den) == 1
 
     @pytest.mark.parametrize("schedule", SCHEDULES)
     def test_in_O_inside_the_alpha_1_ball_takes_no_root(self, roots, schedule):

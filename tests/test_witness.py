@@ -7,8 +7,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from erdos_clopen.exact import InputError, RootValue, is_rational_square
-from erdos_clopen.space import Point, unit
+from erdos_clopen.exact import InputError, RootValue, is_rational_power
+from erdos_clopen.space import Point, add, scale, unit
 from erdos_clopen.clopen import DEFAULT_SCHEDULE, Schedule, first_failing_n, in_O
 from erdos_clopen.witness import (
     SourceFailureError,
@@ -140,16 +140,16 @@ class TestRaySource:
     @staticmethod
     def scanned(direction, threshold):
         k = 1
-        while not _norm_exceeds(k * direction, threshold):
+        while not _norm_exceeds(scale(F(k), direction), threshold):
             k += 1
-        return k * direction
+        return scale(F(k), direction)
 
     def test_tie_at_degree_two_threshold(self):
         # |e_1 + e_2|^2 = 2 does not exceed sqrt(2)^2 = 2, so k = 2
         direction = pt([(1, 1), (2, 1)])
         threshold = RootValue(F(2), 2)
         assert not _norm_exceeds(direction, threshold)
-        assert ray_source(direction)(threshold) == 2 * direction == \
+        assert ray_source(direction)(threshold) == scale(F(2), direction) == \
             self.scanned(direction, threshold)
 
     def test_matches_linear_scan(self):
@@ -160,7 +160,7 @@ class TestRaySource:
                                for i in indices])
             degree = rng.choice((2, 4))
             base = F(rng.randint(1, 400 if degree == 2 else 10 ** 5), rng.randint(1, 9))
-            if is_rational_square(base):
+            if is_rational_power(base, 2) is not None:
                 continue
             threshold = RootValue(base, degree)
             assert ray_source(direction)(threshold) == self.scanned(direction, threshold)
@@ -172,7 +172,7 @@ class TestRaySource:
             point = pt([(1, F(rng.randint(-40, 40), rng.randint(1, 9))),
                         (3, F(rng.randint(-40, 40), rng.randint(1, 9)))])
             base = F(rng.randint(1, 10 ** 7), rng.randint(1, 9))
-            if is_rational_square(base):
+            if is_rational_power(base, 2) is not None:
                 continue
             expected = oracle.cmp_rational_vs_root(point.norm_sq(), base, 2) == "gt"
             assert _norm_exceeds(point, RootValue(base, 4)) == expected
@@ -200,7 +200,7 @@ class TestPinnedLookups:
             direction = Point([(i, F(rng.choice((-1, 1)) * rng.randrange(1, 10 ** 6),
                                      rng.randrange(1, 1000))) for i in indices])
             base = rational(1)
-            while is_rational_square(base):
+            while is_rational_power(base, 2) is not None:
                 base = rational(1)
             threshold = RootValue(base, rng.choice((2, 4)))
             lines.append(json.dumps(ray_source(direction)(threshold).to_json(),
@@ -338,7 +338,7 @@ class TestVerifyWitnessChecks:
 
     def test_tampered_witness_is_flagged(self):
         record = construct_witness(VSpec(F(1), ray_source()), DEFAULT_SCHEDULE)
-        bad_z = record.z + unit(record.l_star)  # no longer x + y
+        bad_z = add(record.z, unit(record.l_star))  # no longer x + y
         checks = verify_witness(record.x, record.y, bad_z, record.m_star,
                                 record.l_star, record.q, F(1), DEFAULT_SCHEDULE)
         assert not all(c["holds"] for c in checks)
