@@ -6,7 +6,8 @@ Exit codes: 0 success / all claims pass, 1 a violation was found,
 base, precondition failures; or an `OSError`). Any other exception is a
 bug and ends in a traceback. Output documents are JSON; files are written
 atomically (temp file in the target directory, then rename), and the
-ERDOS_REPORT_PRETTY environment variable toggles indentation only.
+ERDOS_REPORT_PRETTY environment variable toggles indentation only (unset,
+empty or "0" is off).
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ EXIT_INVALID = 2
 
 
 def _dumps(document) -> str:
-    if os.environ.get("ERDOS_REPORT_PRETTY"):
+    if os.environ.get("ERDOS_REPORT_PRETTY", "") not in ("", "0"):
         return json.dumps(document, indent=2) + "\n"
     return json.dumps(document, separators=(",", ":")) + "\n"
 
@@ -75,7 +76,7 @@ def _atomic_write(path: str, text: str) -> None:
 
 def _emit(document, out_path=None) -> None:
     text = _dumps(document)
-    if out_path:
+    if out_path is not None:
         _atomic_write(out_path, text)
     sys.stdout.write(text)
 

@@ -424,10 +424,11 @@ def o_openness_radius(x: Point, schedule: Schedule,
 
     n0 is the least index with |x| < alpha_n0; the ball of the certified
     bound sits inside every A-set up to n0 and inside the alpha_n0 ball
-    around 0, and that neighborhood is contained in O.
+    around 0, and that neighborhood is contained in O. x lies in every
+    A-set from n0 on, so the loop decides membership in O: a point outside
+    O fails the precondition of the first n's certificate whose A-set
+    excludes it.
     """
-    if not in_O(x, schedule):
-        raise PreconditionViolatedError("point is outside O; no O-openness radius")
     n0 = schedule.least_n_with_alpha_above(x.norm_sq())
     bounds = {}
     for n in range(1, n0 + 1):

@@ -34,6 +34,7 @@ the canonical form (positive denominator, gcd 1).
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from enum import Enum
@@ -118,6 +119,7 @@ def is_rational_power(value: Fraction, degree: int) -> Optional[Fraction]:
     return Fraction(rp, rq) if rq ** degree == q else None
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class RootValue:
     """The positive real base^(1/degree), degree 2 or 4, guaranteed irrational.
 
@@ -133,6 +135,9 @@ class RootValue:
     """
 
     __slots__ = ("num", "den", "degree")
+    num: int
+    den: int
+    degree: int
 
     def __init__(self, base: Fraction, degree: int):
         if type(base) is not Fraction:
@@ -150,23 +155,9 @@ class RootValue:
         object.__setattr__(self, "den", base.denominator)
         object.__setattr__(self, "degree", degree)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("RootValue is immutable")
-
     @property
     def base(self) -> Fraction:
         return Fraction(self.num, self.den)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RootValue)
-            and self.num == other.num
-            and self.den == other.den
-            and self.degree == other.degree
-        )
-
-    def __hash__(self):
-        return hash((self.base, self.degree))
 
     def __repr__(self):
         return f"RootValue({self.base!r}, degree={self.degree})"
@@ -186,6 +177,7 @@ Term = tuple[Fraction, Optional[RootValue]]
 ExprLike = Union["RootExpr", Fraction, int, RootValue]
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class RootExpr:
     """Immutable signed sum of rational and rational*root terms.
 
@@ -195,6 +187,7 @@ class RootExpr:
     """
 
     __slots__ = ("terms",)
+    terms: tuple[Term, ...]
 
     def __init__(self, terms: Iterable[Term]):
         cleaned = []
@@ -207,9 +200,6 @@ class RootExpr:
                 raise TypeError(f"expected RootValue, got {type(root).__name__}")
             cleaned.append((coef, root))
         object.__setattr__(self, "terms", tuple(cleaned))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RootExpr is immutable")
 
     @classmethod
     def coerce(cls, value: ExprLike) -> "RootExpr":
@@ -237,12 +227,6 @@ class RootExpr:
 
     def __neg__(self) -> "RootExpr":
         return RootExpr(tuple((-c, r) for c, r in self.terms))
-
-    def __eq__(self, other):
-        return isinstance(other, RootExpr) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(self.terms)
 
     def __repr__(self):
         if not self.terms:

@@ -26,6 +26,7 @@ m, A and O goes through it on integers only, with no Fraction built.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, isqrt, lcm
@@ -38,10 +39,15 @@ EntryLike = Union[Mapping[int, Fraction], Iterable[tuple[int, Fraction]]]
 _set = object.__setattr__
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class Point:
     """Immutable sparse sequence with nonzero rational coordinates."""
 
     __slots__ = ("support", "_nums", "_den", "_prefix_sq", "_den_sq")
+    # the fields == and hash compare; the two derived slots are not fields
+    support: tuple
+    _nums: tuple
+    _den: int
 
     def __init__(self, entries: EntryLike = ()):
         items = entries.items() if isinstance(entries, Mapping) else entries
@@ -82,9 +88,6 @@ class Point:
         numerators (zeros allowed) and a positive common denominator."""
         return cls.__new__(cls)._canonicalise(support, nums, den)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Point is immutable")
-
     @property
     def entries(self) -> tuple[tuple[int, Fraction], ...]:
         """The nonzero coordinates as (index, value) pairs, by index."""
@@ -108,13 +111,6 @@ class Point:
         """Exact sum of squared coordinates over positions <= index."""
         pos = bisect_right(self.support, index)
         return Fraction(self._prefix_sq[pos - 1] if pos else 0, self._den_sq)
-
-    def __eq__(self, other):
-        return (isinstance(other, Point) and self.support == other.support
-                and self._nums == other._nums and self._den == other._den)
-
-    def __hash__(self):
-        return hash((self.support, self._nums, self._den))
 
     def __repr__(self):
         inner = ", ".join(f"{i}: {v}" for i, v in self.entries)

@@ -160,7 +160,7 @@ def construct_witness(v: VSpec, schedule: Schedule) -> WitnessRecord:
         y = scale(-q, unit(l_star))
     z = add(x, y)
 
-    checks = verify_witness(x, y, z, m_star, l_star, q, r_star, schedule)
+    checks = verify_witness(x, y, z, m_star, l_star, r_star, schedule)
     if any(not check["holds"] for check in checks):
         raise AssertionError(f"witness construction produced a failing check: {checks}")
     # the least schedule index whose A-set excludes z (at most m*)
@@ -176,8 +176,7 @@ def construct_witness(v: VSpec, schedule: Schedule) -> WitnessRecord:
 
 
 def verify_witness(x: Point, y: Point, z: Point, m_star: int, l_star: int,
-                   q: Fraction, r_star: Fraction,
-                   schedule: Schedule) -> list[dict]:
+                   r_star: Fraction, schedule: Schedule) -> list[dict]:
     """Check every inequality a witness record asserts, each once.
 
     `construct_witness` runs this on every witness it builds; the result is

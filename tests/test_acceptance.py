@@ -164,7 +164,7 @@ def test_criterion_2_witness_soundness():
             produced += 1
             engine_checks = verify_witness(
                 record.x, record.y, record.z, record.m_star, record.l_star,
-                record.q, r_star, DEFAULT_SCHEDULE)
+                r_star, DEFAULT_SCHEDULE)
             if not all(c["holds"] for c in engine_checks):
                 failures.append(f"{tag}: engine check failed")
                 continue

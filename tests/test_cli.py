@@ -142,6 +142,13 @@ class TestRadius:
         assert code == EXIT_INVALID
         assert "inside A" in err
 
+    def test_o_open_outside_O_exits_2(self, capsys, point_file):
+        # x_2 = 2 exceeds beta_1 = sqrt(2) past m_1 = 1, so A_1 excludes x
+        p = point_file("p.json", {"1": "2/1", "2": "2/1"})
+        code, out, err = run_cli(capsys, "radius", "--point", p, "--kind", "o-open")
+        assert code == EXIT_INVALID and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_den_cap_flag(self, capsys, point_file):
         p = point_file("p.json", {"1": "2/1", "2": "1/1"})
         code, out, _ = run_cli(capsys, "radius", "--point", p, "--kind",
@@ -462,6 +469,28 @@ class TestOutputDiscipline:
         _, pretty, _ = run_cli(capsys, "check", "--point", zero, "--set", "O")
         assert compact != pretty
         assert json.loads(compact) == json.loads(pretty)
+
+    @pytest.mark.parametrize("value", ["0", ""])
+    def test_pretty_env_off_values(self, capsys, point_file, monkeypatch, value):
+        p = point_file("p.json", {"1": "2/1", "2": "1/1"})
+        monkeypatch.delenv("ERDOS_REPORT_PRETTY", raising=False)
+        _, unset, _ = run_cli(capsys, "radius", "--point", p, "--kind", "o-open")
+        monkeypatch.setenv("ERDOS_REPORT_PRETTY", value)
+        _, off, _ = run_cli(capsys, "radius", "--point", p, "--kind", "o-open")
+        assert off == unset
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--set", "O", "--point", "zero.json", "--out", ""],
+        ["verify", "--samples", "1", "--claims", "1", "--report", ""],
+    ])
+    def test_empty_output_path_exits_2(self, capsys, point_file, tmp_path,
+                                       monkeypatch, argv):
+        point_file("zero.json", {})
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_INVALID and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["zero.json"]
 
     def test_no_partial_file_on_error(self, capsys, tmp_path):
         target = tmp_path / "out.json"

@@ -10,6 +10,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from erdos_clopen import clopen
 from erdos_clopen.exact import InputError, Ordering, RootValue, cmp_root_expr, RootExpr
 from erdos_clopen.space import ZERO, Point
 from erdos_clopen.harness import SampleConfig, sample_point
@@ -411,6 +412,18 @@ class TestOOpennessRadius:
     def test_requires_point_inside_O(self):
         with pytest.raises(PreconditionViolatedError):
             o_openness_radius(pt(3, 1), DEFAULT_SCHEDULE)
+
+    def test_decides_membership_in_its_per_n_loop(self, monkeypatch):
+        """x lies in every A-set from n0 on, so the per-n certificates
+        decide O membership and no first_failing_n call repeats it."""
+        calls = []
+        original = clopen.first_failing_n
+        monkeypatch.setattr(clopen, "first_failing_n",
+                            lambda *args: calls.append(args) or original(*args))
+        assert o_openness_radius(pt(2, 1), DEFAULT_SCHEDULE).components["n0"] == 2
+        with pytest.raises(PreconditionViolatedError):
+            o_openness_radius(pt(3, 1), DEFAULT_SCHEDULE)
+        assert calls == []
 
 
 class TestPinnedCertificateBounds:

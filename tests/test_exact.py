@@ -1,5 +1,6 @@
 """Exact-arithmetic layer: orderings, root values, interval selection."""
 
+import dataclasses
 import hashlib
 import random
 from math import gcd
@@ -118,7 +119,7 @@ class TestRootValue:
         assert (r.num, r.den) == (base.numerator, base.denominator)
         assert type(r.base) is F and r.base == F(r.num, r.den) == base
         assert r == RootValue(base, degree)
-        assert hash(r) == hash((base, degree))
+        assert hash(r) == hash(RootValue(base, degree))
         assert r.to_json() == {"base": format_rational(base), "degree": degree}
 
     def test_equal_bases_in_other_terms_are_equal(self):
@@ -212,6 +213,23 @@ class TestCmpRationalVsRoot:
         t = RootValue(base, degree)
         assert cmp_rational_vs_root(-s, t) == Ordering.LESS
         assert cmp_rational_vs_root(s, t) in (Ordering.LESS, Ordering.GREATER)
+
+
+@pytest.mark.parametrize("a, b", [
+    (Point({1: F(1, 2), 3: F(1, 2)}), Point([(3, F(2, 4)), (5, F(0)), (1, F(3, 6))])),
+    (RootValue(F(2, 3), 2), RootValue(F(4, 6), 2)),
+    (RootExpr([(F(1, 2), RootValue(F(2), 4)), (F(1), None)]),
+     RootExpr([(F(2, 4), RootValue(2, 4)), (0, None), (1, None)])),
+], ids=["Point", "RootValue", "RootExpr"])
+def test_value_types_are_frozen_dataclasses(a, b):
+    """Equal values built from other representations compare and hash
+    equal, and no name can be assigned, a field or any other."""
+    assert dataclasses.is_dataclass(a) and type(a).__dataclass_params__.frozen
+    assert a == b and hash(a) == hash(b)
+    for name in [f.name for f in dataclasses.fields(a)] + ["other"]:
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+    assert a == b
 
 
 class TestCmpRootExpr:

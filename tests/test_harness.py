@@ -361,6 +361,21 @@ class TestRadiusClaimsShareOneLoop:
         assert calls == {counted: report.eligible, idle: 0}
 
 
+def test_c4_decides_membership_once_per_draw(monkeypatch):
+    """One first_failing_n for the identity and one per draw: the O
+    certificate does not decide membership again."""
+    from erdos_clopen import clopen
+
+    calls = []
+    original = clopen.first_failing_n
+    for module in (clopen, harness):
+        monkeypatch.setattr(module, "first_failing_n",
+                            lambda *args: calls.append(args) or original(*args))
+    config = SampleConfig(seed=42, count=1000, count_inner=0)
+    assert verify_claim("C4", DEFAULT_SCHEDULE, config).passed
+    assert len(calls) == config.count + 1
+
+
 class TestPinnedViolationRecords:
     def test_flipped_perturbations_give_pinned_records(self, monkeypatch):
         """Flip the membership of every perturbed point, and only of those,

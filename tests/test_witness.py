@@ -331,7 +331,7 @@ class TestVerifyWitnessChecks:
     def test_every_check_traces_exact_quantities(self):
         record = construct_witness(VSpec(F(1), ray_source()), DEFAULT_SCHEDULE)
         checks = verify_witness(record.x, record.y, record.z, record.m_star,
-                                record.l_star, record.q, F(1), DEFAULT_SCHEDULE)
+                                record.l_star, F(1), DEFAULT_SCHEDULE)
         by_name = {c["check"]: c for c in checks}
         assert by_name["y_in_ball"]["lhs"] == "1/4"
         assert by_name["coordinate_violation"]["holds"]
@@ -340,7 +340,7 @@ class TestVerifyWitnessChecks:
         record = construct_witness(VSpec(F(1), ray_source()), DEFAULT_SCHEDULE)
         bad_z = add(record.z, unit(record.l_star))  # no longer x + y
         checks = verify_witness(record.x, record.y, bad_z, record.m_star,
-                                record.l_star, record.q, F(1), DEFAULT_SCHEDULE)
+                                record.l_star, F(1), DEFAULT_SCHEDULE)
         assert not all(c["holds"] for c in checks)
 
     def test_z_inside_O_is_flagged(self):
@@ -348,7 +348,7 @@ class TestVerifyWitnessChecks:
         inside = record.x  # z with the bump removed
         assert in_O(inside, DEFAULT_SCHEDULE)
         checks = verify_witness(record.x, record.y, inside, record.m_star,
-                                record.l_star, record.q, F(1), DEFAULT_SCHEDULE)
+                                record.l_star, F(1), DEFAULT_SCHEDULE)
         holds = {c["check"]: c["holds"] for c in checks}
         assert not holds["z_outside_O"]
         assert not holds["z_outside_A_at_m_star"]
