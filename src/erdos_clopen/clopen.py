@@ -34,11 +34,11 @@ from .exact import (
     InputError,
     RootExpr,
     RootValue,
+    expr_min,
     floor_root,
     format_rational,
     is_rational_power,
     largest_rational_at_most,
-    largest_rational_at_most_min,
     parse_rational,
 )
 from .space import Point, _m_position, m_index
@@ -332,7 +332,7 @@ def closedness_radius(z: Point, pair: AlphaBetaPair,
     prefix_margin = sqrt_expr(z.prefix_norm_sq(m)) - pair.alpha_expr()
     return RadiusCertificate(
         kind=CertificateKind.CLAIM2_R0,
-        bound=largest_rational_at_most_min((coord_margin, prefix_margin), den_cap),
+        bound=largest_rational_at_most(expr_min(coord_margin, prefix_margin), den_cap),
         components={
             "m": m,
             "l0": l0,
@@ -405,8 +405,8 @@ def openness_radius(x: Point, pair: AlphaBetaPair,
     prefix_margin = sqrt_expr(x.prefix_norm_sq(m)) - pair.alpha_expr()
     return RadiusCertificate(
         kind=CertificateKind.CLAIM3_R,
-        bound=largest_rational_at_most_min((prefix_margin, beta_half, h_expr, a_expr),
-                                           den_cap),
+        bound=largest_rational_at_most(expr_min(prefix_margin, beta_half, h_expr, a_expr),
+                                       den_cap),
         components={
             "m": m,
             "l0": l0,
@@ -427,12 +427,16 @@ def o_openness_radius(x: Point, schedule: Schedule,
     around 0, and that neighborhood is contained in O. x lies in every
     A-set from n0 on, so the loop decides membership in O: a point outside
     O fails the precondition of the first n's certificate whose A-set
-    excludes it.
+    excludes it, and the error names that n.
     """
     n0 = schedule.least_n_with_alpha_above(x.norm_sq())
     bounds = {}
     for n in range(1, n0 + 1):
-        cert = openness_radius(x, schedule.pair_at(n), den_cap)
+        try:
+            cert = openness_radius(x, schedule.pair_at(n), den_cap)
+        except PreconditionViolatedError:
+            raise PreconditionViolatedError(
+                f"point is outside O (A_{n} excludes it); no O-openness radius") from None
         bounds[str(n)] = cert.bound
     return RadiusCertificate(
         kind=CertificateKind.CLAIM4_W,

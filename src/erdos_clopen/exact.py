@@ -10,22 +10,23 @@ and to two choices of a rational: the largest one below a value with a
 capped denominator (certified radius bounds) and the simplest one inside
 an interval (the witness rational q).
 
-Every operand, a lone rational or root included, is put in canonical
-form once, by `_Value.of` (integer radicands, rationally dependent root
-terms merged; radicals in distinct classes are linearly independent over
-the rationals, so the zero test is exact). Each value has one integer
-enclosure lo/den < value < hi/den, whose root bounds come from integer
-square roots and which `_Value.settle` refines by doubling its precision
-until a decision holds at both ends. An order is read from the two
-operands' enclosures; only when they overlap is the merged difference of
-the two canonical forms built and its sign, zero test included, decided
-exactly. The two choices are made by integer continued fractions on the
-ends of a value's enclosure: a Stern-Brocot walk from the lower end
-whose steps are quotients of integers, checked against the upper end by
-one product with the walk's Farey successor, and the simplest-rational
-recursion over partial quotients. A certificate's bound below a minimum
-is read off the canonical form and enclosure the minimum's comparisons
-already built. No floating point is involved anywhere.
+Every operand, a lone rational or root included, is one `RootExpr`,
+which builds its canonical form on first use and keeps it (integer
+radicands, rationally dependent root terms merged; radicals in distinct
+classes are linearly independent over the rationals, so the zero test is
+exact). Each expression also keeps one integer enclosure lo/den < value <
+hi/den, whose root bounds come from integer square roots and which
+`_settle` refines by doubling its precision until a decision holds at
+both ends. An order is read from the two operands' enclosures; only when
+they overlap is their difference built and its sign, zero test included,
+decided exactly. The two choices are made by integer continued fractions
+on the ends of a value's enclosure: a Stern-Brocot walk from the lower
+end whose steps are quotients of integers, checked against the upper end
+by one product with the walk's Farey successor, and the simplest-rational
+recursion over partial quotients. The minimum `expr_min` returns keeps
+the canonical form and enclosure its comparisons built, so a
+certificate's bound below it starts from them. No floating point is
+involved anywhere.
 
 `Fraction` is the rational type of the public API; it already maintains
 the canonical form (positive denominator, gcd 1).
@@ -184,9 +185,16 @@ class RootExpr:
     The public comparison API (`cmp_root_expr`) only accepts expressions of
     at most two terms; internal machinery (interval selection, certificate
     minima) may build longer sums.
+
+    `terms` is the one field, so ==, hash, repr and JSON read the sum as
+    written. Two slots outside it are filled on first use: `_form`, the
+    canonical form (rational part, merged (coef, n, degree) triples), and
+    `_enclosure`, the tightest enclosure computed so far with its
+    precision. Each is written as one tuple, so a reader on another thread
+    sees the old value or the new one, never half of each.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_form", "_enclosure")
     terms: tuple[Term, ...]
 
     def __init__(self, terms: Iterable[Term]):
@@ -249,6 +257,63 @@ class RootExpr:
             ]
         }
 
+    def _canonical(self) -> tuple[Fraction, tuple[tuple[Fraction, int, int], ...]]:
+        """The rational part and the root terms as (coef, n, degree) triples,
+        n a positive integer, over distinct irrationality classes:
+        coef*(p/q)^(1/d) is rewritten as (coef/q)*(p*q^(d-1))^(1/d), then
+        dependent terms are merged, so the value is zero only when every
+        component is zero."""
+        form = getattr(self, "_form", None)
+        if form is None:
+            rational = Fraction(0)
+            roots = []
+            for coef, root in self.terms:
+                if root is None:
+                    rational += coef
+                else:
+                    p, q = root.num, root.den
+                    if q != 1:
+                        coef, p = coef / q, p * q ** (root.degree - 1)
+                    roots.append((coef, p, root.degree))
+            form = rational, _merge_dependent(roots) if len(roots) > 1 else tuple(roots)
+            object.__setattr__(self, "_form", form)
+        return form
+
+    def _enclosure_at(self, bits: int) -> tuple[int, int, int]:
+        """Integers (lo, hi, den) with lo/den < value < hi/den, the width
+        (hi - lo)/den of order 2^-bits; lo == hi for a rational value. A
+        tighter enclosure already computed is reused."""
+        rational, roots = self._canonical()
+        if not roots:
+            return rational.numerator, rational.numerator, rational.denominator
+        memo = getattr(self, "_enclosure", None)
+        if memo is None or memo[0] < bits:
+            den = lcm(rational.denominator, *(coef.denominator for coef, _, _ in roots))
+            lo = hi = rational.numerator * (den // rational.denominator) << bits
+            for coef, n, degree in roots:
+                c = coef.numerator * (den // coef.denominator)
+                r = _root_enclosure(n, degree, bits)
+                lo += c * (r if c > 0 else r + 1)
+                hi += c * (r + 1 if c > 0 else r)
+            memo = bits, (lo, hi, den << bits)
+            object.__setattr__(self, "_enclosure", memo)
+        return memo[1]
+
+    def _sign(self) -> int:
+        """Exact sign: -1, 0, or +1."""
+        rational, roots = self._canonical()
+        if not roots:
+            return -1 if rational < 0 else (1 if rational > 0 else 0)
+        if rational == 0 and len(roots) == 1:
+            return 1 if roots[0][0] > 0 else -1
+        # nonzero by linear independence of the merged classes, so some
+        # enclosure excludes 0
+        return _settle(lambda lo, hi, den: 1 if lo > 0 else (-1 if hi < 0 else None), self)
+
+
+_START_BITS = 64
+_MAX_BITS = 1 << 22  # separation guard; unreachable for nonzero values
+
 
 @lru_cache(maxsize=65536)
 def _root_enclosure(n: int, degree: int, bits: int) -> int:
@@ -261,96 +326,23 @@ def _root_enclosure(n: int, degree: int, bits: int) -> int:
     return floor_root(n << degree * bits, degree)
 
 
-class _Value:
-    """Canonical form of a value with lazy certified enclosure.
+def _settle(choose: Callable[..., Optional[T]], *values: RootExpr) -> T:
+    """The first answer other than None of choose(lo_1, hi_1, den_1,
+    lo_2, ...), given one enclosure per value, doubling their precision
+    until there is one.
 
-    `rational` holds the plain part and `roots` holds (coef, n, degree)
-    triples, n a positive integer, over distinct irrationality classes: any
-    two root terms whose ratio is rational have been merged, so the whole
-    value is zero only when every component is zero. Every decision about
-    the value is read off one cached integer enclosure, refined on demand by
-    `settle`.
+    choose must answer for every enclosure narrow enough, and for exact
+    rational values at once; raises RuntimeError past _MAX_BITS.
     """
-
-    __slots__ = ("rational", "roots", "_bits", "_enclosure")
-
-    _START_BITS = 64
-    _MAX_BITS = 1 << 22  # separation guard; unreachable for nonzero values
-
-    def __init__(self, rational: Fraction, roots: tuple[tuple[Fraction, int, int], ...]):
-        self.rational = rational
-        self.roots = roots
-        self._bits = 0
-        self._enclosure: Optional[tuple[int, int, int]] = None
-
-    @classmethod
-    def of(cls, value: ExprLike) -> "_Value":
-        """The canonical form of value: coef*(p/q)^(1/d) is rewritten as
-        (coef/q)*(p*q^(d-1))^(1/d), then dependent terms are merged."""
-        rational = Fraction(0)
-        roots = []
-        for coef, root in RootExpr.coerce(value).terms:
-            if root is None:
-                rational += coef
-            else:
-                p, q = root.num, root.den
-                if q != 1:
-                    coef, p = coef / q, p * q ** (root.degree - 1)
-                roots.append((coef, p, root.degree))
-        return cls(rational, _merge_dependent(roots) if len(roots) > 1 else tuple(roots))
-
-    def __sub__(self, other: "_Value") -> "_Value":
-        """self - other; the classes of both sides merge again, because one
-        class can have two radicands (sqrt(8) and 2*sqrt(2))."""
-        return _Value(self.rational - other.rational, _merge_dependent(
-            [*self.roots, *((-coef, n, degree) for coef, n, degree in other.roots)]))
-
-    def enclosure(self, bits: int) -> tuple[int, int, int]:
-        """Integers (lo, hi, den) with lo/den < value < hi/den, the width
-        (hi - lo)/den of order 2^-bits; lo == hi for a rational value. A
-        tighter enclosure already computed is reused."""
-        rational = self.rational
-        if not self.roots:
-            return rational.numerator, rational.numerator, rational.denominator
-        if self._bits < bits:
-            den = lcm(rational.denominator, *(coef.denominator for coef, _, _ in self.roots))
-            lo = hi = rational.numerator * (den // rational.denominator) << bits
-            for coef, n, degree in self.roots:
-                c = coef.numerator * (den // coef.denominator)
-                r = _root_enclosure(n, degree, bits)
-                lo += c * (r if c > 0 else r + 1)
-                hi += c * (r + 1 if c > 0 else r)
-            self._bits, self._enclosure = bits, (lo, hi, den << bits)
-        return self._enclosure
-
-    @staticmethod
-    def settle(choose: Callable[..., Optional[T]], *values: "_Value") -> T:
-        """The first answer other than None of choose(lo_1, hi_1, den_1,
-        lo_2, ...), given one enclosure per value, doubling their precision
-        until there is one.
-
-        choose must answer for every enclosure narrow enough, and for exact
-        rational values at once; raises RuntimeError past _MAX_BITS.
-        """
-        bits = max(_Value._START_BITS, *(value._bits for value in values))
-        while True:
-            answer = choose(*(end for value in values for end in value.enclosure(bits)))
-            if answer is not None:
-                return answer
-            bits *= 2
-            if bits > _Value._MAX_BITS:
-                raise RuntimeError("enclosure failed to settle a nonzero value")
-
-    def sign(self) -> int:
-        """Exact sign: -1, 0, or +1."""
-        if not self.roots:
-            return -1 if self.rational < 0 else (1 if self.rational > 0 else 0)
-        if self.rational == 0 and len(self.roots) == 1:
-            return 1 if self.roots[0][0] > 0 else -1
-        # nonzero by linear independence of the merged classes, so some
-        # enclosure excludes 0
-        return _Value.settle(lambda lo, hi, den: 1 if lo > 0 else (-1 if hi < 0 else None),
-                             self)
+    # start at the tightest enclosure any value already keeps
+    bits = max(_START_BITS, *(getattr(value, "_enclosure", (0,))[0] for value in values))
+    while True:
+        answer = choose(*(end for value in values for end in value._enclosure_at(bits)))
+        if answer is not None:
+            return answer
+        bits *= 2
+        if bits > _MAX_BITS:
+            raise RuntimeError("enclosure failed to settle a nonzero value")
 
 
 def _merge_dependent(roots: list[tuple[Fraction, int, int]],
@@ -362,7 +354,7 @@ def _merge_dependent(roots: list[tuple[Fraction, int, int]],
     different degrees never collapse: a fourth root of a non-square cannot
     be a rational multiple of a square root. Afterwards the surviving
     classes together with 1 are linearly independent over the rationals,
-    which is what makes the zero test in _Value exact.
+    which is what makes the zero test of `RootExpr._sign` exact.
     """
     merged: list[tuple[Fraction, int, int]] = []
     for coef, n, degree in roots:
@@ -381,27 +373,27 @@ def _merge_dependent(roots: list[tuple[Fraction, int, int]],
     return tuple((c, n, d) for c, n, d in merged if c != 0)
 
 
-def _order(a: _Value, b: _Value) -> int:
+def _order(a: RootExpr, b: RootExpr) -> int:
     """The sign of a - b: -1, 0 or +1.
 
     The ends of an enclosure are strict bounds (lo == hi only for a
     rational), so when the two enclosures at _START_BITS are disjoint they
     decide a strict order at once. Only overlapping enclosures, of equal or
-    very close values, build the merged difference and take its exact sign.
+    very close values, build the difference and take its exact sign.
     """
-    a_lo, a_hi, a_den = a.enclosure(_Value._START_BITS)
-    b_lo, b_hi, b_den = b.enclosure(_Value._START_BITS)
+    a_lo, a_hi, a_den = a._enclosure_at(_START_BITS)
+    b_lo, b_hi, b_den = b._enclosure_at(_START_BITS)
     if a_hi * b_den < b_lo * a_den:
         return -1
     if b_hi * a_den < a_lo * b_den:
         return 1
-    return (a - b).sign()
+    return (a - b)._sign()
 
 
 def cmp_rational_vs_root(s: Fraction, t: RootValue) -> Ordering:
     """Exact order of the rational s against the irrational t, read like
     any other order from the two enclosures; never EQUAL."""
-    return Ordering(_order(_Value.of(s), _Value.of(t)))
+    return Ordering(_order(RootExpr.coerce(s), RootExpr.coerce(t)))
 
 
 def cmp_root_expr(lhs: ExprLike, rhs: ExprLike) -> Ordering:
@@ -410,33 +402,26 @@ def cmp_root_expr(lhs: ExprLike, rhs: ExprLike) -> Ordering:
     Returns EQUAL precisely when the two expressions denote the same real
     number. Raises UnsupportedFormError beyond the two-term fragment.
     """
-    values = []
-    for side, expr in (("lhs", RootExpr.coerce(lhs)), ("rhs", RootExpr.coerce(rhs))):
+    lhs, rhs = RootExpr.coerce(lhs), RootExpr.coerce(rhs)
+    for side, expr in (("lhs", lhs), ("rhs", rhs)):
         if len(expr.terms) > 2:
             raise UnsupportedFormError(
                 f"{side} has {len(expr.terms)} terms; at most two are supported")
-        values.append(_Value.of(expr))
-    return Ordering(_order(*values))
+    return Ordering(_order(lhs, rhs))
 
 
 def expr_min(*exprs: ExprLike) -> RootExpr:
     """The minimum of the given expressions, decided exactly; the first of
-    any equal minima."""
-    return _min(exprs)[0]
-
-
-def _min(exprs: tuple[ExprLike, ...]) -> tuple[RootExpr, _Value]:
-    """`expr_min` of exprs and the canonical form its comparisons built."""
+    any equal minima. The winner keeps the canonical form and enclosure
+    its comparisons built, for a bound read off it next."""
     if not exprs:
         raise ValueError("expr_min needs at least one expression")
     best = RootExpr.coerce(exprs[0])
-    best_value = _Value.of(best)
     for candidate in exprs[1:]:
         candidate = RootExpr.coerce(candidate)
-        value = _Value.of(candidate)
-        if _order(value, best_value) < 0:
-            best, best_value = candidate, value
-    return best, best_value
+        if _order(candidate, best) < 0:
+            best = candidate
+    return best
 
 
 def _simplest_between(xp: int, xq: int, yp: int, yq: int) -> Optional[Fraction]:
@@ -478,17 +463,16 @@ def rational_in_interval(lo: ExprLike, hi: ExprLike) -> Fraction:
     agree, that rational is the answer. Raises EmptyIntervalError when
     lo >= hi.
     """
-    lo_value, hi_value = _Value.of(lo), _Value.of(hi)
-    if _order(lo_value, hi_value) >= 0:
-        raise EmptyIntervalError(
-            f"empty interval: lo {RootExpr.coerce(lo)!r} >= hi {RootExpr.coerce(hi)!r}")
+    lo, hi = RootExpr.coerce(lo), RootExpr.coerce(hi)
+    if _order(lo, hi) >= 0:
+        raise EmptyIntervalError(f"empty interval: lo {lo!r} >= hi {hi!r}")
 
     def choose(lo_lo: int, lo_hi: int, lo_den: int,
                hi_lo: int, hi_hi: int, hi_den: int) -> Optional[Fraction]:
         inner = _simplest_between(lo_hi, lo_den, hi_lo, hi_den)
         return inner if inner == _simplest_between(lo_lo, lo_den, hi_hi, hi_den) else None
 
-    return _Value.settle(choose, lo_value, hi_value)
+    return _settle(choose, lo, hi)
 
 
 def _floor_approx(p: int, q: int, cap: int) -> tuple[int, int, int, int]:
@@ -534,23 +518,14 @@ def largest_rational_at_most(value: ExprLike, den_cap: int) -> Fraction:
     1/q <= value, deliberately exceeding the cap so the result stays
     positive; that q is ceil(1/value), read off both ends.
     """
-    return _largest_at_most(_Value.of(value), den_cap)
-
-
-def largest_rational_at_most_min(exprs: tuple[ExprLike, ...], den_cap: int) -> Fraction:
-    """largest_rational_at_most(expr_min(*exprs), den_cap), reading the
-    bound off the canonical form and enclosure the minimum already built."""
-    return _largest_at_most(_min(exprs)[1], den_cap)
-
-
-def _largest_at_most(val: _Value, den_cap: int) -> Fraction:
+    value = RootExpr.coerce(value)
     if den_cap < 1:
         raise InputError(f"den_cap must be >= 1, got {den_cap}")
-    if val.sign() <= 0:
+    if value._sign() <= 0:
         raise ValueError("largest_rational_at_most expects a positive value")
     # the walk settles once the enclosure is narrower than about den_cap^-2,
     # so start there instead of walking at each doubling on the way up
-    val.enclosure(max(_Value._START_BITS, 2 * den_cap.bit_length() + 8))
+    value._enclosure_at(max(_START_BITS, 2 * den_cap.bit_length() + 8))
 
     def choose(lo: int, hi: int, den: int) -> Optional[Fraction]:
         a, b, e, f = _floor_approx(lo, den, den_cap)
@@ -563,4 +538,4 @@ def _largest_at_most(val: _Value, den_cap: int) -> Fraction:
         q = -(-den // lo)
         return Fraction(1, q) if q == -(-den // hi) else None
 
-    return _Value.settle(choose, val)
+    return _settle(choose, value)

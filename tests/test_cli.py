@@ -149,6 +149,12 @@ class TestRadius:
         assert code == EXIT_INVALID and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_o_open_outside_O_names_the_excluding_index(self, capsys, point_file):
+        p = point_file("p.json", {"1": "2/1", "2": "2/1"})
+        code, _, err = run_cli(capsys, "radius", "--point", p, "--kind", "o-open")
+        assert code == EXIT_INVALID
+        assert err == "error: point is outside O (A_1 excludes it); no O-openness radius\n"
+
     def test_den_cap_flag(self, capsys, point_file):
         p = point_file("p.json", {"1": "2/1", "2": "1/1"})
         code, out, _ = run_cli(capsys, "radius", "--point", p, "--kind",

@@ -10,7 +10,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from erdos_clopen import clopen
+from erdos_clopen import clopen, exact
 from erdos_clopen.exact import InputError, Ordering, RootValue, cmp_root_expr, RootExpr
 from erdos_clopen.space import ZERO, Point
 from erdos_clopen.harness import SampleConfig, sample_point
@@ -424,6 +424,65 @@ class TestOOpennessRadius:
         with pytest.raises(PreconditionViolatedError):
             o_openness_radius(pt(3, 1), DEFAULT_SCHEDULE)
         assert calls == []
+
+
+class TestBoundsThroughPublicFunctions:
+    """Every certificate reads its bound through `largest_rational_at_most`,
+    and takes a minimum through `expr_min`, the functions a trace sees."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        calls = {"expr_min": 0, "largest_rational_at_most": 0}
+        for name in calls:
+            original = getattr(clopen, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(clopen, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("radius, x, kind", [
+        (closedness_radius, pt(2, 1), CertificateKind.CLAIM2_R0),
+        (openness_radius, pt(2, F(1, 2)), CertificateKind.CLAIM3_R),
+    ], ids=["closed", "open"])
+    def test_certificate_with_m_makes_one_call_to_each(self, calls, radius, x, kind):
+        assert radius(x, DEFAULT_PAIR).kind == kind
+        assert calls == {"expr_min": 1, "largest_rational_at_most": 1}
+
+    def test_claim1_margin_takes_no_minimum(self, calls):
+        assert openness_radius(pt(1), DEFAULT_PAIR).kind == CertificateKind.CLAIM1_MARGIN
+        assert calls == {"expr_min": 0, "largest_rational_at_most": 1}
+
+
+class TestEnclosureWorkPerCertificate:
+    def test_root_enclosure_lookups_are_pinned(self):
+        """`_root_enclosure` lookups (hits + misses) made by the closed, open
+        and O-open certificates of 100 seed-42 points, recorded once and
+        pinned: the enclosure a minimum built is reused by its bound, and
+        none is computed twice."""
+        def lookups():
+            info = exact._root_enclosure.cache_info()
+            return info.hits + info.misses
+
+        config = SampleConfig(seed=42, count=100)
+        counts = {"closed": 0, "open": 0, "o-open": 0}
+        made = dict.fromkeys(counts, 0)
+        for draw in range(config.count):
+            x = sample_point(config, draw)
+            side = "open" if in_A(x, DEFAULT_PAIR) else "closed"
+            radius = openness_radius if side == "open" else closedness_radius
+            certify = [(side, lambda: radius(x, DEFAULT_PAIR))]
+            if in_O(x, DEFAULT_SCHEDULE):
+                certify.append(("o-open", lambda: o_openness_radius(x, DEFAULT_SCHEDULE)))
+            for kind, build in certify:
+                before = lookups()
+                build()
+                counts[kind] += lookups() - before
+                made[kind] += 1
+        assert made == {"closed": 54, "open": 46, "o-open": 59}
+        assert counts == {"closed": 130, "open": 109, "o-open": 282}
 
 
 class TestPinnedCertificateBounds:

@@ -3,6 +3,8 @@
 import dataclasses
 import hashlib
 import random
+import sys
+import threading
 from math import gcd
 from fractions import Fraction, Fraction as F
 
@@ -230,6 +232,56 @@ def test_value_types_are_frozen_dataclasses(a, b):
         with pytest.raises(AttributeError):
             setattr(a, name, None)
     assert a == b
+
+
+def two_roots() -> RootExpr:
+    """sqrt(8)/2 - 2^(1/4)/3, about 0.218: two roots, one written over a
+    radicand the canonical form rewrites."""
+    return RootExpr([(F(1, 2), RootValue(F(8), 2)), (F(-1, 3), RootValue(F(2), 4))])
+
+
+def test_root_expr_memo_is_invisible():
+    """The canonical form and enclosure a RootExpr keeps after it has been
+    compared and bounded take no part in ==, hash or JSON, and no name,
+    theirs included, can be assigned."""
+    expr, fresh = two_roots(), two_roots()
+    shown = expr.to_json()
+    assert cmp_root_expr(expr, rat(F(1, 3))) == Ordering.GREATER
+    assert largest_rational_at_most(expr, 10 ** 30) > 0
+    assert expr == fresh and hash(expr) == hash(fresh)
+    assert expr.to_json() == shown == fresh.to_json() and repr(expr) == repr(fresh)
+    assert [f.name for f in dataclasses.fields(RootExpr)] == ["terms"]
+    for name in ("terms", "_form", "_enclosure", "other"):
+        with pytest.raises(AttributeError):
+            setattr(expr, name, None)
+    assert expr == fresh
+
+
+def test_root_expr_memo_shared_between_threads():
+    """Threads bounding one shared expression at rising caps refine its
+    enclosure concurrently; each memo slot is written as one tuple, so
+    every thread gets the answers of a thread alone."""
+    caps = [10 ** k for k in range(1, 40)]
+    expected = [largest_rational_at_most(two_roots(), cap) for cap in caps]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            shared = two_roots()
+            results = [None] * 8
+
+            def work(i):
+                results[i] = [largest_rational_at_most(shared, cap) for cap in caps]
+
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            assert results == [expected] * 8
+    finally:
+        sys.setswitchinterval(switch)
 
 
 class TestCmpRootExpr:
@@ -604,7 +656,7 @@ class TestLargestRationalAtMost:
 
     def test_refinement_limit_raises_instead_of_looping(self, monkeypatch):
         # the 2^-64 starting enclosure contains 1/3, so only refining decides
-        monkeypatch.setattr(exact._Value, "_MAX_BITS", 64)
+        monkeypatch.setattr(exact, "_MAX_BITS", 64)
         for above in (True, False):
             with pytest.raises(RuntimeError):
                 largest_rational_at_most(near_third(above), 1000)
@@ -675,26 +727,26 @@ def reference_cmp_root_expr(lhs, rhs):
         if len(expr.terms) > 2:
             raise UnsupportedFormError(
                 f"{side} has {len(expr.terms)} terms; at most two are supported")
-        values.append(exact._Value.of(expr))
-    return Ordering((values[0] - values[1]).sign())
+        values.append(exact.RootExpr.coerce(expr))
+    return Ordering((values[0] - values[1])._sign())
 
 
 def reference_expr_min(*exprs):
     if not exprs:
         raise ValueError("expr_min needs at least one expression")
     best = RootExpr.coerce(exprs[0])
-    best_value = exact._Value.of(best)
+    best_value = exact.RootExpr.coerce(best)
     for candidate in exprs[1:]:
         candidate = RootExpr.coerce(candidate)
-        value = exact._Value.of(candidate)
-        if (value - best_value).sign() < 0:
+        value = exact.RootExpr.coerce(candidate)
+        if (value - best_value)._sign() < 0:
             best, best_value = candidate, value
     return best
 
 
 def reference_rational_in_interval(lo, hi):
-    lo_value, hi_value = exact._Value.of(lo), exact._Value.of(hi)
-    if (lo_value - hi_value).sign() >= 0:
+    lo_value, hi_value = exact.RootExpr.coerce(lo), exact.RootExpr.coerce(hi)
+    if (lo_value - hi_value)._sign() >= 0:
         raise EmptyIntervalError(
             f"empty interval: lo {RootExpr.coerce(lo)!r} >= hi {RootExpr.coerce(hi)!r}")
 
@@ -702,7 +754,7 @@ def reference_rational_in_interval(lo, hi):
         inner = exact._simplest_between(lo_hi, lo_den, hi_lo, hi_den)
         return inner if inner == exact._simplest_between(lo_lo, lo_den, hi_hi, hi_den) else None
 
-    return exact._Value.settle(choose, lo_value, hi_value)
+    return exact._settle(choose, lo_value, hi_value)
 
 
 def near(expr: RootExpr, target: F, above: bool) -> RootExpr:
@@ -710,7 +762,7 @@ def near(expr: RootExpr, target: F, above: bool) -> RootExpr:
     enclosure: an irrational two-term value within 2^-90 of target, on the
     given side, so its 64-bit enclosure overlaps target's and that of any
     other such value."""
-    lo, hi, den = exact._Value.of(expr).enclosure(96)
+    lo, hi, den = exact.RootExpr.coerce(expr)._enclosure_at(96)
     return rat(target - F(lo if above else hi, den)) + expr
 
 
@@ -783,18 +835,18 @@ class TestOrderFromEnclosures:
 
 class TestOrderCounts:
     """How many merged differences an order decision builds, counted by
-    wrapping `_Value.__sub__`: a count, not a timing."""
+    wrapping `RootExpr.__sub__`: a count, not a timing."""
 
     @pytest.fixture()
     def subtractions(self, monkeypatch):
         calls = []
-        subtract = exact._Value.__sub__
+        subtract = exact.RootExpr.__sub__
 
         def counted(self, other):
             calls.append(other)
             return subtract(self, other)
 
-        monkeypatch.setattr(exact._Value, "__sub__", counted)
+        monkeypatch.setattr(exact.RootExpr, "__sub__", counted)
         return calls
 
     def test_separated_certificate_components_build_no_difference(self, subtractions):
@@ -836,8 +888,8 @@ def reference_floor_approx(p, q, cap):
 def reference_largest_rational_at_most(value, den_cap):
     if den_cap < 1:
         raise ValueError(f"den_cap must be >= 1, got {den_cap}")
-    val = exact._Value.of(value)
-    if val.sign() <= 0:
+    val = exact.RootExpr.coerce(value)
+    if val._sign() <= 0:
         raise ValueError("largest_rational_at_most expects a positive value")
 
     def choose(lo, hi, den):
@@ -851,7 +903,7 @@ def reference_largest_rational_at_most(value, den_cap):
         q = -(-den // lo)
         return F(1, q) if q == -(-den // hi) else None
 
-    return exact._Value.settle(choose, val)
+    return exact._settle(choose, val)
 
 
 BOUND_CAPS = st.sampled_from([1, 2, 3, 7, 100, 1000, 10 ** 6])
@@ -888,13 +940,13 @@ class TestOneWalkPerBound:
     def test_bound_of_min_matches_reference(self, exprs, cap):
         values = positive_part(exprs)
         if values:
-            assert (exact.largest_rational_at_most_min(tuple(values), cap)
+            assert (largest_rational_at_most(expr_min(*values), cap)
                     == reference_largest_rational_at_most(expr_min(*values), cap))
 
     @pytest.mark.parametrize("above", [True, False])
     def test_one_walk_per_settle_round(self, monkeypatch, above):
-        settles = []  # [rounds, walks] per call of _Value.settle
-        settle, floor_approx = exact._Value.settle, exact._floor_approx
+        settles = []  # [rounds, walks] per call of _settle
+        settle, floor_approx = exact._settle, exact._floor_approx
 
         def counted_settle(choose, *values):
             count = [0, 0]
@@ -910,7 +962,7 @@ class TestOneWalkPerBound:
             settles[-1][1] += 1
             return floor_approx(*args)
 
-        monkeypatch.setattr(exact._Value, "settle", staticmethod(counted_settle))
+        monkeypatch.setattr(exact, "_settle", counted_settle)
         monkeypatch.setattr(exact, "_floor_approx", counted_walk)
         # within 2^-66 of 1/3: the 2^-64 starting enclosure holds 1/3, so
         # the bound takes more than one round; the sign takes one, no walk
