@@ -29,7 +29,6 @@ from .clopen import (
     closedness_radius,
     first_failing_n,
     first_violating_index,
-    in_E_alpha,
     o_openness_radius,
     openness_radius,
 )
@@ -142,8 +141,9 @@ def _cmd_check(args) -> int:
     point = _load_point(args.point)
     if args.set == "Ealpha":
         alpha = RootValue(parse_rational(args.alpha_base), 4)
-        member = in_E_alpha(point, alpha)
-        trace = {"m_index": m_index(point, alpha)}
+        m = m_index(point, alpha)
+        member = m is None  # E_alpha: no prefix norm exceeds alpha
+        trace = {"m_index": m}
     elif args.set == "A":
         pair = _pair_from_args(args)
         violating = first_violating_index(point, pair)

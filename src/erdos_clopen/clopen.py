@@ -62,11 +62,11 @@ def sqrt_expr(value: Fraction) -> RootExpr:
     if value < 0:
         raise ValueError(f"sqrt_expr needs a nonnegative value, got {value}")
     if value == 0:
-        return RootExpr.of_rational(Fraction(0))
+        return RootExpr.coerce(Fraction(0))
     exact = is_rational_power(value, 2)
     if exact is not None:
-        return RootExpr.of_rational(exact)
-    return RootExpr.of_root(Fraction(1), RootValue(value, 2))
+        return RootExpr.coerce(exact)
+    return RootExpr.coerce(RootValue(value, 2))
 
 
 @dataclass(frozen=True)
@@ -82,18 +82,6 @@ class AlphaBetaPair:
             raise ValueError("alpha must be a degree-4 root value")
         if self.beta.degree != 2:
             raise ValueError("beta must be a degree-2 root value")
-
-    @property
-    def beta_sq(self) -> Fraction:
-        """beta^2 is the rational base: coordinate tests |x_l| < beta reduce
-        to the exact rational comparison x_l^2 < beta_sq."""
-        return self.beta.base
-
-    def alpha_expr(self) -> RootExpr:
-        return RootExpr.of_root(Fraction(1), self.alpha)
-
-    def beta_expr(self) -> RootExpr:
-        return RootExpr.of_root(Fraction(1), self.beta)
 
     def to_json(self) -> dict:
         return {"alpha": self.alpha.to_json(), "beta": self.beta.to_json()}
@@ -328,8 +316,8 @@ def closedness_radius(z: Point, pair: AlphaBetaPair,
     if l0 is None:
         raise PreconditionViolatedError("point is inside A; no closedness radius")
     m = z.support[pos]
-    coord_margin = RootExpr.of_rational(abs(z.coordinate(l0))) - pair.beta_expr()
-    prefix_margin = sqrt_expr(z.prefix_norm_sq(m)) - pair.alpha_expr()
+    coord_margin = RootExpr.coerce(abs(z.coordinate(l0))) - pair.beta
+    prefix_margin = sqrt_expr(z.prefix_norm_sq(m)) - alpha
     return RadiusCertificate(
         kind=CertificateKind.CLAIM2_R0,
         bound=largest_rational_at_most(expr_min(coord_margin, prefix_margin), den_cap),
@@ -358,8 +346,7 @@ def openness_radius(x: Point, pair: AlphaBetaPair,
     alpha, beta = pair.alpha, pair.beta
     pos = _m_position(x, alpha.num, alpha.den)
     if pos == len(x.support):
-        norm_expr = sqrt_expr(x.norm_sq())
-        margin = pair.alpha_expr() - norm_expr
+        margin = RootExpr.coerce(alpha) - sqrt_expr(x.norm_sq())
         return RadiusCertificate(
             kind=CertificateKind.CLAIM1_MARGIN,
             bound=largest_rational_at_most(margin, den_cap),
@@ -382,7 +369,7 @@ def openness_radius(x: Point, pair: AlphaBetaPair,
     threshold = prefix[-1] + (-bn * x._den_sq // (4 * bd))
     l0 = 1 if threshold < 0 else x.support[bisect_right(prefix, threshold)] + 1
 
-    beta_half = RootExpr.of_root(Fraction(1, 2), beta)
+    beta_half = RootExpr([(Fraction(1, 2), beta)])
 
     # h: the closest approach to beta of |x_l| = |num|/D over l <= l0 (an
     # empty position is 0). Position l0 is empty or below beta/2, so the
@@ -393,16 +380,16 @@ def openness_radius(x: Point, pair: AlphaBetaPair,
     b = max((n for n in nums if n <= bound), default=0)
     a = min((n for n in nums if n > bound), default=None)
     if a is None or (a + b) ** 2 * bd > 4 * bn * x._den_sq:
-        h_expr = pair.beta_expr() - RootExpr.of_rational(Fraction(b, x._den))
+        h_expr = RootExpr.coerce(beta) - Fraction(b, x._den)
     else:
-        h_expr = RootExpr.of_rational(Fraction(a, x._den)) - pair.beta_expr()
+        h_expr = RootExpr.coerce(Fraction(a, x._den)) - beta
 
     if m == 1:
-        a_expr = RootExpr.of_rational(Fraction(1))
+        a_expr = RootExpr.coerce(Fraction(1))
     else:
-        a_expr = pair.alpha_expr() - sqrt_expr(x.prefix_norm_sq(m - 1))
+        a_expr = RootExpr.coerce(alpha) - sqrt_expr(x.prefix_norm_sq(m - 1))
 
-    prefix_margin = sqrt_expr(x.prefix_norm_sq(m)) - pair.alpha_expr()
+    prefix_margin = sqrt_expr(x.prefix_norm_sq(m)) - alpha
     return RadiusCertificate(
         kind=CertificateKind.CLAIM3_R,
         bound=largest_rational_at_most(expr_min(prefix_margin, beta_half, h_expr, a_expr),

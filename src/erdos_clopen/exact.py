@@ -160,6 +160,11 @@ class RootValue:
     def base(self) -> Fraction:
         return Fraction(self.num, self.den)
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor: the default slot
+        # restore assigns to the frozen fields, which raises
+        return RootValue, (self.base, self.degree)
+
     def __repr__(self):
         return f"RootValue({self.base!r}, degree={self.degree})"
 
@@ -217,13 +222,8 @@ class RootExpr:
             return cls([(1, value)])
         return cls([(value, None)])
 
-    @classmethod
-    def of_rational(cls, value: Fraction) -> "RootExpr":
-        return cls([(value, None)])
-
-    @classmethod
-    def of_root(cls, coef: Fraction, root: RootValue) -> "RootExpr":
-        return cls([(coef, root)])
+    def __reduce__(self):  # as `RootValue.__reduce__`; the memo slots start empty
+        return RootExpr, (self.terms,)
 
     def __add__(self, other: ExprLike) -> "RootExpr":
         other = RootExpr.coerce(other)

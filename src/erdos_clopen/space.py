@@ -88,6 +88,9 @@ class Point:
         numerators (zeros allowed) and a positive common denominator."""
         return cls.__new__(cls)._canonicalise(support, nums, den)
 
+    def __reduce__(self):  # as `RootValue.__reduce__`; the derived slots are rebuilt
+        return Point._from_ints, (self.support, self._nums, self._den)
+
     @property
     def entries(self) -> tuple[tuple[int, Fraction], ...]:
         """The nonzero coordinates as (index, value) pairs, by index."""

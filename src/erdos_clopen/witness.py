@@ -216,9 +216,9 @@ def verify_witness(x: Point, y: Point, z: Point, m_star: int, l_star: int,
         {
             "check": "coordinate_violation",  # |z_l*|^2 > beta_m*^2
             "lhs": format_rational(z_l * z_l),
-            "rhs": format_rational(pair.beta_sq),
+            "rhs": format_rational(pair.beta.base),
             "relation": ">",
-            "holds": z_l * z_l > pair.beta_sq,
+            "holds": z_l * z_l > pair.beta.base,
         },
         {
             "check": "z_outside_A_at_m_star",

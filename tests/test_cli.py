@@ -2,9 +2,11 @@
 
 import hashlib
 import json
+import shlex
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -50,6 +52,15 @@ class TestCheck:
                                "--alpha-base", "2")
         assert code == EXIT_OK
         assert json.loads(out)["member"] is True
+
+    def test_ealpha_decides_m_once(self, capsys, point_file, roots):
+        """One root for alpha's base check and one for m: the membership
+        answer is read off the m the trace reports."""
+        p = point_file("p.json", {"1": "4/1", "2": "1/2"})
+        code, out, _ = run_cli(capsys, "check", "--point", p, "--set", "Ealpha")
+        assert code == EXIT_OK
+        assert json.loads(out) == {"member": False, "set": "Ealpha", "trace": {"m_index": 1}}
+        assert len(roots) == 2
 
     def test_malformed_rational_exits_2(self, capsys, point_file):
         bad = point_file("bad.json", {"1": "2/0"})
@@ -464,6 +475,21 @@ class TestUsageErrors:
         err = self.stderr_of(capsys, *argv)
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
         assert "usage:" not in err
+
+
+class TestReadmeExamples:
+    def test_cli_block_parses(self):
+        """Every `erdos-clopen` command in README's CLI section, with its
+        backslash-continued lines joined, parses: a renamed or removed flag
+        shows here, not in a reader's shell."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("\n## CLI\n", 1)[1].split("```")[1].replace("\\\n", " ")
+        commands = [shlex.split(line)[1:] for line in block.splitlines()
+                    if line.startswith("erdos-clopen ")]
+        assert commands
+        parser = cli.build_parser()
+        for argv in commands:
+            assert parser.parse_args(argv).handler is not None
 
 
 class TestOutputDiscipline:

@@ -40,7 +40,7 @@ def pt(*coords) -> Point:
 
 
 def expr_value_le(bound: F, expr) -> bool:
-    return cmp_root_expr(RootExpr.of_rational(bound), expr) != Ordering.GREATER
+    return cmp_root_expr(RootExpr.coerce(bound), expr) != Ordering.GREATER
 
 
 entry_strategy = st.lists(
@@ -66,9 +66,9 @@ class TestSchedule:
         for n in (1, 2, 3, 7, 100, 4245, 10 ** 6):
             pair = schedule.pair_at(n)
             assert pair.alpha.base == 2 * a ** 4 * F(n) ** 4
-            assert pair.beta_sq == 2 * b ** 2 / F(n) ** 2
+            assert pair.beta.base == 2 * b ** 2 / F(n) ** 2
             assert type(pair.alpha.base) is F
-            assert type(pair.beta_sq) is F
+            assert type(pair.beta.base) is F
             assert pair.alpha == RootValue(2 * a ** 4 * F(n) ** 4, 4)
             assert pair.beta == RootValue(2 * b ** 2 / F(n) ** 2, 2)
 
@@ -82,7 +82,7 @@ class TestSchedule:
         s = DEFAULT_SCHEDULE
         for n in range(1, 12):
             assert s.pair_at(n + 1).alpha.base > s.pair_at(n).alpha.base
-            assert s.pair_at(n + 1).beta_sq < s.pair_at(n).beta_sq
+            assert s.pair_at(n + 1).beta.base < s.pair_at(n).beta.base
 
     def test_scaled_schedules_stay_valid(self):
         s = Schedule(alpha_scale=F(3, 7), beta_scale=F(5, 2))
@@ -131,7 +131,7 @@ class TestSchedule:
         alpha_n^2 or beta_n, and `Schedule()` need not build a pair to find out."""
         pair = Schedule(F(u, v), F(s, t)).pair_at(n)
         assert pair.alpha.base == 2 * F(u * n, v) ** 4
-        assert pair.beta_sq == 2 * F(s, t * n) ** 2
+        assert pair.beta.base == 2 * F(s, t * n) ** 2
 
     def test_least_n_with_alpha_above(self):
         s = DEFAULT_SCHEDULE
@@ -145,7 +145,7 @@ class TestSchedule:
         for k in range(1, 400):
             bound = F(k % 37 + 1, k)
             n = 1
-            while not schedule.pair_at(n).beta_sq < bound * bound:
+            while not schedule.pair_at(n).beta.base < bound * bound:
                 n += 1
             assert schedule.least_n_with_beta_below(bound) == n
             norm_sq = F(k * k, k % 7 + 1)
@@ -210,12 +210,12 @@ class TestPairCache:
         assert hash(Schedule()) == hash(Schedule(F(3, 3), F(2, 2)))
         assert s.to_json() == {"alpha_scale": "1/3", "beta_scale": "2/1", "degree": 4}
         moved = dataclasses.replace(s, beta_scale=F(5))
-        assert moved.pair_at(1).beta_sq == 50 and moved.pair_at(1).beta.base == 50
+        assert moved.pair_at(1).beta.base == 50
 
 
 class TestPinnedThresholds:
     def test_pairs_and_bases(self):
-        """sha256 over pair_at(n).to_json(), its alpha base and beta_sq on
+        """sha256 over pair_at(n).to_json(), its alpha base and beta base on
         three schedules for n = 1..5000 and on 2000 seeded (scales, n) cases,
         recorded from the Fraction-power formulas: building the thresholds
         from the scale integers must give the same values."""
@@ -223,7 +223,7 @@ class TestPinnedThresholds:
         def line(schedule, n):
             pair = schedule.pair_at(n)
             return (f"{json.dumps(pair.to_json(), sort_keys=True)} "
-                    f"{pair.alpha.base} {pair.beta_sq}")
+                    f"{pair.alpha.base} {pair.beta.base}")
 
         lines = []
         for schedule in (DEFAULT_SCHEDULE, Schedule(F(1, 3), F(2)), Schedule(F(5), F(1, 7))):
@@ -332,7 +332,7 @@ class TestOpennessRadius:
         assert cert.kind == CertificateKind.CLAIM3_R
         assert cert.components["m"] == 1
         assert cert.components["l0"] == 3
-        assert cert.components["a"] == RootExpr.of_rational(F(1))
+        assert cert.components["a"] == RootExpr.coerce(F(1))
         # minimum is h = beta - 1/2 ~ 0.2071
         assert cert.bound == F(40391, 195025)
         for key in ("prefix_margin", "beta_half", "h", "a"):
@@ -352,7 +352,7 @@ class TestOpennessRadius:
     def test_sentinel_only_when_m_is_1(self):
         cert = openness_radius(pt(1, 1, F(1, 3)), DEFAULT_PAIR)  # m = 2
         assert cert.components["m"] == 2
-        assert cert.components["a"] != RootExpr.of_rational(F(1))
+        assert cert.components["a"] != RootExpr.coerce(F(1))
 
     def test_requires_point_inside_A(self):
         with pytest.raises(PreconditionViolatedError):
@@ -369,7 +369,7 @@ class TestOpennessL0:
 
     @staticmethod
     def stepwise_l0(x: Point, pair: AlphaBetaPair) -> int:
-        quarter_beta_sq = pair.beta_sq / 4
+        quarter_beta_sq = pair.beta.base / 4
         l0 = 1
         while x.norm_sq() - x.prefix_norm_sq(l0 - 1) >= quarter_beta_sq:
             l0 += 1

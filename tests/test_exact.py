@@ -1,7 +1,9 @@
 """Exact-arithmetic layer: orderings, root values, interval selection."""
 
+import copy
 import dataclasses
 import hashlib
+import pickle
 import random
 import sys
 import threading
@@ -29,8 +31,9 @@ from erdos_clopen.exact import (
     parse_rational,
     rational_in_interval,
 )
-from erdos_clopen.clopen import DEFAULT_SCHEDULE, openness_radius
+from erdos_clopen.clopen import DEFAULT_SCHEDULE, in_A, openness_radius
 from erdos_clopen.space import Point
+from erdos_clopen.witness import VSpec, construct_witness, ray_source
 
 import oracle
 
@@ -40,7 +43,7 @@ def root(base, degree):
 
 
 def rat(value) -> RootExpr:
-    return RootExpr.of_rational(F(value))
+    return RootExpr.coerce(F(value))
 
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=64)
@@ -257,6 +260,32 @@ def test_root_expr_memo_is_invisible():
     assert expr == fresh
 
 
+@pytest.mark.parametrize("duplicate", [
+    copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value)),
+], ids=["copy", "deepcopy", "pickle"])
+def test_values_survive_copy_and_pickle(duplicate):
+    """Each value type is rebuilt through its constructor, so a copy or a
+    pickle round trip equals the original, derived slots included; values
+    holding one (a threshold pair, a certificate, a witness) copy too."""
+    point = Point({1: F(3, 2), 4: F(-1, 3), 6: F(1, 5)})
+    expr = two_roots()
+    assert cmp_root_expr(expr, rat(F(1, 3))) == Ordering.GREATER  # fills the memo
+    for value in (point, RootValue(F(2, 3), 4), expr):
+        copied = duplicate(value)
+        assert type(copied) is type(value)
+        assert copied == value and hash(copied) == hash(value)
+    copied = duplicate(point)
+    assert copied._prefix_sq == point._prefix_sq and copied._den_sq == point._den_sq
+    pair = DEFAULT_SCHEDULE.pair_at(2)
+    assert in_A(copied, pair) == in_A(point, pair)
+    assert duplicate(expr).to_json() == expr.to_json()
+    cert = openness_radius(Point({1: F(1, 10), 2: F(1, 10)}), pair)
+    witness = construct_witness(VSpec(F(1, 2), ray_source()), DEFAULT_SCHEDULE)
+    for value in (pair, cert, witness):
+        assert duplicate(value) == value
+    assert duplicate(cert).components == cert.components
+
+
 def test_root_expr_memo_shared_between_threads():
     """Threads bounding one shared expression at rising caps refine its
     enclosure concurrently; each memo slot is written as one tuple, so
@@ -286,29 +315,29 @@ def test_root_expr_memo_shared_between_threads():
 
 class TestCmpRootExpr:
     def test_spec_examples(self):
-        lhs = rat(1) - RootExpr.of_root(F(1), root(F(1, 2), 2))   # ~0.293
-        rhs = rat(2) - RootExpr.of_root(F(1), root(2, 4))         # ~0.811
+        lhs = rat(1) - RootExpr.coerce(root(F(1, 2), 2))   # ~0.293
+        rhs = rat(2) - RootExpr.coerce(root(2, 4))         # ~0.811
         assert cmp_root_expr(lhs, rhs) == Ordering.LESS
         assert cmp_root_expr(root(2, 2), root(2, 2)) == Ordering.EQUAL
-        half_beta2 = RootExpr.of_root(F(1, 2), root(2, 2))        # sqrt(2)/2
+        half_beta2 = RootExpr([(F(1, 2), root(2, 2))])      # sqrt(2)/2
         assert cmp_root_expr(half_beta2, rat(1)) == Ordering.LESS
 
     def test_dependent_roots_merge_to_equal(self):
         # sqrt(8) = 2*sqrt(2); 32^(1/4) = 2*2^(1/4)
-        assert cmp_root_expr(root(8, 2), RootExpr.of_root(F(2), root(2, 2))) \
+        assert cmp_root_expr(root(8, 2), RootExpr([(F(2), root(2, 2))])) \
             == Ordering.EQUAL
-        assert cmp_root_expr(root(32, 4), RootExpr.of_root(F(2), root(2, 4))) \
+        assert cmp_root_expr(root(32, 4), RootExpr([(F(2), root(2, 4))])) \
             == Ordering.EQUAL
 
     def test_mixed_degree_expressions(self):
         # sqrt(2) + 2^(1/4) vs 3 - 2^(1/4): 2.603... vs 1.810...
-        lhs = RootExpr.of_root(F(1), root(2, 2)) + RootExpr.of_root(F(1), root(2, 4))
-        rhs = rat(3) - RootExpr.of_root(F(1), root(2, 4))
+        lhs = RootExpr.coerce(root(2, 2)) + RootExpr.coerce(root(2, 4))
+        rhs = rat(3) - RootExpr.coerce(root(2, 4))
         assert cmp_root_expr(lhs, rhs) == Ordering.GREATER
 
     def test_rejects_three_terms(self):
-        three = rat(1) + RootExpr.of_root(F(1), root(2, 2)) \
-            + RootExpr.of_root(F(1), root(3, 2))
+        three = rat(1) + RootExpr.coerce(root(2, 2)) \
+            + RootExpr.coerce(root(3, 2))
         with pytest.raises(UnsupportedFormError):
             cmp_root_expr(three, rat(0))
         with pytest.raises(UnsupportedFormError):
@@ -329,7 +358,7 @@ class TestCmpRootExpr:
             if root_spec is None:
                 return rat(coef)
             base, degree = root_spec
-            return RootExpr.of_root(coef, RootValue(base, degree))
+            return RootExpr([(coef, RootValue(base, degree))])
 
         lhs, rhs = build(left), build(right)
         got = cmp_root_expr(lhs, rhs)
@@ -361,16 +390,16 @@ candidate_exprs = (
 
 class TestExprMin:
     def test_first_of_equal_minima_is_returned(self):
-        sqrt8 = RootExpr.of_root(F(1), root(8, 2))
-        two_sqrt2 = RootExpr.of_root(F(2), root(2, 2))
+        sqrt8 = RootExpr.coerce(root(8, 2))
+        two_sqrt2 = RootExpr([(F(2), root(2, 2))])
         assert expr_min(sqrt8, two_sqrt2) is sqrt8
         assert expr_min(two_sqrt2, sqrt8) is two_sqrt2
         assert expr_min(rat(3), two_sqrt2, sqrt8) is two_sqrt2
 
     def test_three_or_more_candidates(self):
-        sqrt2 = RootExpr.of_root(F(1), root(2, 2))              # 1.414...
-        fourth2 = RootExpr.of_root(F(1), root(2, 4))            # 1.189...
-        gap = rat(2) - RootExpr.of_root(F(1), root(3, 2))       # 0.267...
+        sqrt2 = RootExpr.coerce(root(2, 2))              # 1.414...
+        fourth2 = RootExpr.coerce(root(2, 4))            # 1.189...
+        gap = rat(2) - RootExpr.coerce(root(3, 2))       # 0.267...
         half = rat(F(1, 2))
         assert expr_min(sqrt2, fourth2, half) is half
         assert expr_min(sqrt2, fourth2, half, gap) is gap
@@ -378,9 +407,9 @@ class TestExprMin:
         assert expr_min(sqrt2, fourth2, rat(F(6, 5))) is fourth2
 
     def test_fraction_int_and_root_value_inputs(self):
-        assert expr_min(F(3, 2), root(2, 2)) == RootExpr.of_root(F(1), root(2, 2))
+        assert expr_min(F(3, 2), root(2, 2)) == RootExpr.coerce(root(2, 2))
         assert expr_min(root(2, 2), F(1)) == rat(1)
-        assert expr_min(2, root(2, 4), F(5, 4)) == RootExpr.of_root(F(1), root(2, 4))
+        assert expr_min(2, root(2, 4), F(5, 4)) == RootExpr.coerce(root(2, 4))
         assert expr_min(F(7, 3)) == rat(F(7, 3))
         with pytest.raises(ValueError):
             expr_min()
@@ -400,18 +429,18 @@ class TestExprMin:
 class TestComparisonStress:
     def test_equal_through_different_representations(self):
         # 3*sqrt(2) + 5*sqrt(18) = 18*sqrt(2) = 2*sqrt(162)
-        lhs = RootExpr.of_root(F(3), root(2, 2)) + RootExpr.of_root(F(5), root(18, 2))
-        rhs = RootExpr.of_root(F(2), root(162, 2))
+        lhs = RootExpr([(F(3), root(2, 2))]) + RootExpr([(F(5), root(18, 2))])
+        rhs = RootExpr([(F(2), root(162, 2))])
         assert cmp_root_expr(lhs, rhs) == Ordering.EQUAL
         # 512^(1/4) = 4*2^(1/4): equality splits across the subtraction
-        lhs = RootExpr.of_root(F(1), root(512, 4)) - RootExpr.of_root(F(3), root(2, 4))
-        rhs = RootExpr.of_root(F(1), root(2, 4))
+        lhs = RootExpr.coerce(root(512, 4)) - RootExpr([(F(3), root(2, 4))])
+        rhs = RootExpr.coerce(root(2, 4))
         assert cmp_root_expr(lhs, rhs) == Ordering.EQUAL
 
     def test_near_equal_needs_only_tiny_nudge(self):
         # 18*sqrt(2) + epsilon on one side
-        lhs = RootExpr.of_root(F(3), root(2, 2)) + RootExpr.of_root(F(5), root(18, 2))
-        rhs = RootExpr.of_root(F(2), root(162, 2)) + rat(F(1, 10 ** 30))
+        lhs = RootExpr([(F(3), root(2, 2))]) + RootExpr([(F(5), root(18, 2))])
+        rhs = RootExpr([(F(2), root(162, 2))]) + rat(F(1, 10 ** 30))
         assert cmp_root_expr(lhs, rhs) == Ordering.LESS
 
     def test_separation_from_deep_convergents(self):
@@ -436,7 +465,7 @@ class TestComparisonStress:
 
     def test_coefficient_cancellation_across_sides(self):
         # sqrt(8) - sqrt(2) = sqrt(2): two-term lhs vs one-term rhs
-        lhs = RootExpr.of_root(F(1), root(8, 2)) - RootExpr.of_root(F(1), root(2, 2))
+        lhs = RootExpr.coerce(root(8, 2)) - RootExpr.coerce(root(2, 2))
         assert cmp_root_expr(lhs, root(2, 2)) == Ordering.EQUAL
 
 
@@ -448,7 +477,7 @@ def near_third(above: bool) -> RootExpr:
     p, q = 1, 1
     while q <= 2 ** 33 or (p * p < 2 * q * q) != above:
         p, q = p + 2 * q, p + q
-    return rat(F(1, 3) - F(p, q)) + RootExpr.of_root(F(1), root(2, 2))
+    return rat(F(1, 3) - F(p, q)) + RootExpr.coerce(root(2, 2))
 
 
 def brute_force_simplest(lo_cmp, hi_cmp, window, max_den=200):
@@ -492,7 +521,7 @@ class TestRationalInInterval:
 
     def test_straddling_zero_gives_zero(self):
         assert rational_in_interval(F(-1), F(5)) == 0
-        assert rational_in_interval(rat(0) - RootExpr.of_root(F(1), root(2, 2)),
+        assert rational_in_interval(rat(0) - RootExpr.coerce(root(2, 2)),
                                     root(2, 4)) == 0
 
     def test_negative_interval_mirrors(self):
@@ -515,7 +544,7 @@ class TestRationalInInterval:
     def test_matches_scan_on_irrational_endpoints(self):
         # (sqrt(2), 2^(1/4) + 3/2): oracle-driven exhaustive scan
         lo = root(2, 2)
-        hi = RootExpr.of_root(F(1), root(2, 4)) + rat(F(3, 2))
+        hi = RootExpr.coerce(root(2, 4)) + rat(F(3, 2))
         got = rational_in_interval(lo, hi)
 
         def above_lo(v):
@@ -662,7 +691,7 @@ class TestLargestRationalAtMost:
                 largest_rational_at_most(near_third(above), 1000)
 
     def test_positivity_fallback_on_irrational_value(self):
-        value = RootExpr.of_root(F(1, 1000), root(2, 2))  # sqrt(2)/1000
+        value = RootExpr([(F(1, 1000), root(2, 2))])  # sqrt(2)/1000
         got = largest_rational_at_most(value, 100)
         assert got == F(1, 708)  # 707 < 1000/sqrt(2) < 708
         assert cmp_root_expr(rat(got), value) == Ordering.LESS
@@ -686,7 +715,7 @@ def seeded_two_term_exprs(count, seed):
         base = F(rng.randint(1, 60), rng.randint(1, 60))
         while _is_square(base):
             base += 1
-        return RootExpr.of_root(coef, root(base, rng.choice([2, 4])))
+        return RootExpr([(coef, root(base, rng.choice([2, 4])))])
 
     return [(term() + term(), rng.randint(0, 40)) for _ in range(count)]
 
@@ -770,7 +799,7 @@ def near(expr: RootExpr, target: F, above: bool) -> RootExpr:
 # 32^(1/4) = 2*2^(1/4)), so equal values written differently come up often
 ORDER_COEFS = st.sampled_from([F(-2), F(-1), F(1, 2), F(1), F(2), F(4)])
 ORDER_ROOTS = st.sampled_from([(2, 2), (8, 2), (F(1, 2), 2), (3, 2), (2, 4), (32, 4)])
-root_terms = st.builds(lambda coef, spec: RootExpr.of_root(coef, root(*spec)),
+root_terms = st.builds(lambda coef, spec: RootExpr([(coef, root(*spec))]),
                        ORDER_COEFS, ORDER_ROOTS)
 plain_terms = st.builds(rat, st.sampled_from([F(0), F(1), F(-1, 2), F(3, 2), F(2)]))
 order_exprs = st.one_of(
@@ -793,10 +822,10 @@ ORACLE = {Ordering.LESS: "lt", Ordering.EQUAL: None, Ordering.GREATER: "gt"}
 class TestOrderFromEnclosures:
     @given(order_exprs, order_exprs)
     @settings(max_examples=400, deadline=None)
-    @example(rat(F(1, 3)), near(RootExpr.of_root(F(1), root(2, 2)), F(1, 3), True))
-    @example(near(RootExpr.of_root(F(1), root(3, 2)), F(1, 3), False),
-             near(RootExpr.of_root(F(1), root(2, 4)), F(1, 3), True))
-    @example(RootExpr.of_root(F(1), root(8, 2)), RootExpr.of_root(F(2), root(2, 2)))
+    @example(rat(F(1, 3)), near(RootExpr.coerce(root(2, 2)), F(1, 3), True))
+    @example(near(RootExpr.coerce(root(3, 2)), F(1, 3), False),
+             near(RootExpr.coerce(root(2, 4)), F(1, 3), True))
+    @example(RootExpr.coerce(root(8, 2)), RootExpr([(F(2), root(2, 2))]))
     def test_cmp_root_expr_matches_reference_and_oracle(self, lhs, rhs):
         got = cmp_root_expr(lhs, rhs)
         assert got == reference_cmp_root_expr(lhs, rhs)
@@ -804,9 +833,9 @@ class TestOrderFromEnclosures:
 
     @given(st.lists(order_exprs, min_size=1, max_size=5))
     @settings(max_examples=300, deadline=None)
-    @example([RootExpr.of_root(F(1), root(8, 2)), RootExpr.of_root(F(2), root(2, 2))])
-    @example([rat(F(1, 3)), near(RootExpr.of_root(F(1), root(2, 2)), F(1, 3), False),
-              near(RootExpr.of_root(F(2), root(8, 2)), F(1, 3), False)])
+    @example([RootExpr.coerce(root(8, 2)), RootExpr([(F(2), root(2, 2))])])
+    @example([rat(F(1, 3)), near(RootExpr.coerce(root(2, 2)), F(1, 3), False),
+              near(RootExpr([(F(2), root(8, 2))]), F(1, 3), False)])
     def test_expr_min_matches_reference_and_oracle(self, candidates):
         best = expr_min(*candidates)
         assert best is reference_expr_min(*candidates)  # the first of equal minima
@@ -817,9 +846,9 @@ class TestOrderFromEnclosures:
 
     @given(order_exprs, order_exprs)
     @settings(max_examples=300, deadline=None)
-    @example(rat(F(1, 3)), near(RootExpr.of_root(F(1), root(2, 2)), F(1, 3), True))
-    @example(near(RootExpr.of_root(F(1), root(2, 2)), F(1, 3), True), rat(F(1, 3)))
-    @example(RootExpr.of_root(F(1), root(32, 4)), RootExpr.of_root(F(2), root(2, 4)))
+    @example(rat(F(1, 3)), near(RootExpr.coerce(root(2, 2)), F(1, 3), True))
+    @example(near(RootExpr.coerce(root(2, 2)), F(1, 3), True), rat(F(1, 3)))
+    @example(RootExpr.coerce(root(32, 4)), RootExpr([(F(2), root(2, 4))]))
     def test_rational_in_interval_matches_reference_and_oracle(self, lo, hi):
         try:
             expected = reference_rational_in_interval(lo, hi)
@@ -859,7 +888,7 @@ class TestOrderCounts:
         assert best is components[3]  # a = alpha - sqrt(P_1), about 0.189
 
     def test_dependent_radicals_build_one_difference(self, subtractions):
-        order = cmp_root_expr(root(8, 2), RootExpr.of_root(F(2), root(2, 2)))
+        order = cmp_root_expr(root(8, 2), RootExpr([(F(2), root(2, 2))]))
         assert order == Ordering.EQUAL
         assert len(subtractions) == 1
 
@@ -923,7 +952,7 @@ class TestOneWalkPerBound:
     @example(near_third(above=True), 1000)
     @example(near_third(above=False), 1000)
     @example(near_third(above=False), 3)
-    @example(RootExpr.of_root(F(1, 1000), root(2, 2)), 100)  # below 1/cap
+    @example(RootExpr([(F(1, 1000), root(2, 2))]), 100)  # below 1/cap
     @example(rat(F(355, 113)), 100)
     @example(rat(F(1, 3)), 3)  # the value's denominator is the cap
     @example(rat(F(1, 2000)), 100)

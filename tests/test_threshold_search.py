@@ -71,7 +71,7 @@ def scan_first_violating_index(x: Point, pair: AlphaBetaPair):
     m = scan_m_index(x, pair.alpha)
     if m is None:
         return None
-    beta_sq = pair.beta_sq
+    beta_sq = pair.beta.base
     bn, bd = beta_sq.numerator, beta_sq.denominator
     target = bn * x._den_sq
     for index, n in zip(x.support, x._nums):
@@ -87,7 +87,7 @@ def scan_openness_l0(x: Point, beta_sq: F) -> int:
 
 
 def scan_openness_h(x: Point, pair: AlphaBetaPair, l0: int) -> RootExpr:
-    beta_sq = pair.beta_sq
+    beta_sq = pair.beta.base
     h_candidates = []
     covered = set()
     for index, value in x.entries:
@@ -95,11 +95,11 @@ def scan_openness_h(x: Point, pair: AlphaBetaPair, l0: int) -> RootExpr:
             break
         covered.add(index)
         if value * value < beta_sq:
-            h_candidates.append(pair.beta_expr() - RootExpr.of_rational(abs(value)))
+            h_candidates.append(RootExpr.coerce(pair.beta) - RootExpr.coerce(abs(value)))
         else:
-            h_candidates.append(RootExpr.of_rational(abs(value)) - pair.beta_expr())
+            h_candidates.append(RootExpr.coerce(abs(value)) - RootExpr.coerce(pair.beta))
     if len(covered) < l0:  # some position <= l0 carries a zero coordinate
-        h_candidates.append(pair.beta_expr())
+        h_candidates.append(RootExpr.coerce(pair.beta))
     return expr_min(*h_candidates)
 
 
@@ -107,14 +107,14 @@ def scan_openness_json(x: Point, pair: AlphaBetaPair) -> dict:
     """The Claim 3 certificate of a point of A whose m exists, every index
     found by the scans above and h by `scan_openness_h`."""
     m = scan_m_index(x, pair.alpha)
-    l0 = scan_openness_l0(x, pair.beta_sq)
-    beta_half = RootExpr.of_root(F(1, 2), pair.beta)
+    l0 = scan_openness_l0(x, pair.beta.base)
+    beta_half = RootExpr([(F(1, 2), pair.beta)])
     h_expr = scan_openness_h(x, pair, l0)
     if m == 1:
-        a_expr = RootExpr.of_rational(F(1))
+        a_expr = RootExpr.coerce(F(1))
     else:
-        a_expr = pair.alpha_expr() - sqrt_expr(x.prefix_norm_sq(m - 1))
-    prefix_margin = sqrt_expr(x.prefix_norm_sq(m)) - pair.alpha_expr()
+        a_expr = RootExpr.coerce(pair.alpha) - sqrt_expr(x.prefix_norm_sq(m - 1))
+    prefix_margin = sqrt_expr(x.prefix_norm_sq(m)) - RootExpr.coerce(pair.alpha)
     radius = expr_min(prefix_margin, beta_half, h_expr, a_expr)
     return RadiusCertificate(
         kind=CertificateKind.CLAIM3_R,
@@ -132,7 +132,7 @@ def scan_o_openness_margin_and_bound(x: Point, schedule: Schedule):
     for n in range(1, n0 + 1):
         cert = openness_radius(x, schedule.pair_at(n))
         bound = cert.bound if bound is None else min(bound, cert.bound)
-    ball_margin = (RootExpr.of_root(F(1), schedule.pair_at(n0).alpha)
+    ball_margin = (RootExpr.coerce(schedule.pair_at(n0).alpha)
                    - sqrt_expr(x.norm_sq()))
     ball_bound = largest_rational_at_most(ball_margin, DEFAULT_DEN_CAP)
     bound = ball_bound if bound is None else min(bound, ball_bound)
@@ -619,25 +619,25 @@ class TestOpennessH:
         return cert.components["h"], cert.components["l0"]
 
     def test_empty_position_up_to_l0(self):
-        beta = self.PAIR.beta_expr()
+        beta = RootExpr.coerce(self.PAIR.beta)
         # position 1 is empty and 5 is far above beta: h = beta - 0
         assert self.h(Point({2: F(5)}), self.PAIR) == (beta, 3)
         # an empty position does not hide a coordinate below beta
         h, l0 = self.h(Point({1: F(1, 10), 3: F(5)}), self.PAIR)
-        assert (h, l0) == (beta - RootExpr.of_rational(F(1, 10)), 4)
+        assert (h, l0) == (beta - RootExpr.coerce(F(1, 10)), 4)
 
     def test_l0_one_past_the_last_support_index(self):
-        beta = self.PAIR.beta_expr()
+        beta = RootExpr.coerce(self.PAIR.beta)
         assert self.h(Point({1: F(5)}), self.PAIR) == (beta, 2)
         h, l0 = self.h(Point({1: F(5), 2: F(1, 2)}), self.PAIR)
-        assert (h, l0) == (beta - RootExpr.of_rational(F(1, 2)), 3)
+        assert (h, l0) == (beta - RootExpr.coerce(F(1, 2)), 3)
 
     def test_l0_is_1(self):
         # the whole norm is below beta^2 / 4 but above alpha^2
         pair = AlphaBetaPair(RootValue(F(1, 10 ** 13), 4), RootValue(F(1, 2), 2))
         h, l0 = self.h(Point({1: F(1, 1000)}), pair)
-        assert (h, l0) == (pair.beta_expr() - RootExpr.of_rational(F(1, 1000)), 1)
-        assert self.h(Point({2: F(1, 1000)}), pair) == (pair.beta_expr(), 1)
+        assert (h, l0) == (RootExpr.coerce(pair.beta) - RootExpr.coerce(F(1, 1000)), 1)
+        assert self.h(Point({2: F(1, 1000)}), pair) == (RootExpr.coerce(pair.beta), 1)
 
     def test_numerators_equal_to_the_root_and_one_above(self):
         # D = 3; m = 2 (alpha^2 sits between the first two prefix sums);
@@ -656,9 +656,9 @@ class TestOpennessH:
                         pair = AlphaBetaPair(alpha, RootValue(base, 2))
                         h, _ = self.h(x, pair)
                         below = (2 * c + 1) ** 2 * base.denominator > 36 * base.numerator
-                        beta = pair.beta_expr()
-                        assert h == (beta - RootExpr.of_rational(F(c, 3)) if below
-                                     else RootExpr.of_rational(F(c + 1, 3)) - beta)
+                        beta = RootExpr.coerce(pair.beta)
+                        assert h == (beta - RootExpr.coerce(F(c, 3)) if below
+                                     else RootExpr.coerce(F(c + 1, 3)) - beta)
                         seen.add(below)
         assert seen == {True, False}
 
@@ -677,13 +677,13 @@ class TestOpennessH:
                     if rest or not non_square(F(bn, bd)):
                         continue
                     pair = AlphaBetaPair(alpha, RootValue(F(bn, bd), 2))
-                    beta_sq = pair.beta_sq  # already in lowest terms
+                    beta_sq = pair.beta.base  # already in lowest terms
                     assert (a + b) ** 2 * beta_sq.denominator \
                         - 4 * beta_sq.numerator * den * den == e
                     h, _ = self.h(x, pair)
-                    beta = pair.beta_expr()
-                    assert h == (beta - RootExpr.of_rational(F(b, den)) if e == 1
-                                 else RootExpr.of_rational(F(a, den)) - beta)
+                    beta = RootExpr.coerce(pair.beta)
+                    assert h == (beta - RootExpr.coerce(F(b, den)) if e == 1
+                                 else RootExpr.coerce(F(a, den)) - beta)
                     found += 1
                     if found == 3:
                         break

@@ -121,7 +121,7 @@ class TestConstructWitness:
         for r_star in (F(1), F(1, 3), F(7, 2), F(1, 17)):
             record = construct_witness(VSpec(r_star, ray_source()),
                                        DEFAULT_SCHEDULE)
-            beta_sq = DEFAULT_SCHEDULE.pair_at(record.m_star).beta_sq
+            beta_sq = DEFAULT_SCHEDULE.pair_at(record.m_star).beta.base
             assert record.q * record.q > beta_sq
             assert record.q < r_star
             assert record.y.norm_sq() < r_star * r_star
@@ -261,12 +261,12 @@ class TestIndexMinimality:
             m, n = record.m_star, record.n_star
             s = DEFAULT_SCHEDULE
             # beta_m < 1/n and alpha_m > n at m*
-            assert s.pair_at(m).beta_sq < F(1, n * n)
+            assert s.pair_at(m).beta.base < F(1, n * n)
             assert s.pair_at(m).alpha.base > n ** 4
             # m* = max(m1, m2) with both minimal: one step earlier, one of
             # the two side conditions must fail
             if m > 1:
-                assert (s.pair_at(m - 1).beta_sq > F(1, n * n)
+                assert (s.pair_at(m - 1).beta.base > F(1, n * n)
                         or s.pair_at(m - 1).alpha.base < n ** 4)
 
     def test_l_star_is_least_admissible(self):
