@@ -1,13 +1,13 @@
 """Command-line surface: membership checks, radius certificates, witness
 construction, the incompatibility verdict, and the verification suite.
 
-Exit codes: 0 success / all claims pass, 1 a violation was found,
-2 invalid input (an `InputError`: malformed rational or JSON, invalid root
-base, precondition failures; or an `OSError`). Any other exception is a
-bug and ends in a traceback. Output documents are JSON; files are written
-atomically (temp file in the target directory, then rename), and the
-ERDOS_REPORT_PRETTY environment variable toggles indentation only (unset,
-empty or "0" is off).
+Exit codes: 0 success / all claims pass, 1 a violation was found (only
+`verify` exits 1; `refute` exits 0 or 2), 2 invalid input (an
+`InputError`: malformed rational or JSON, invalid root base, precondition
+failures; or an `OSError`). Any other exception is a bug and ends in a
+traceback. Output documents are JSON; files are written atomically (temp
+file in the target directory, then rename), and the ERDOS_REPORT_PRETTY
+environment variable toggles indentation only (unset, empty or "0" is off).
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from .harness import (
 )
 
 EXIT_OK = 0
-EXIT_VIOLATION = 1
 EXIT_INVALID = 2
 
 
@@ -187,9 +186,8 @@ def _cmd_witness(args) -> int:
 def _cmd_refute(args) -> int:
     schedule = _load_schedule(args.schedule)
     v = VSpec(parse_rational(args.ball_radius), _source_from_arg(args.source))
-    verdict = refute_group_compatibility(v, schedule)
-    _emit(verdict.to_json(), args.out)
-    return EXIT_OK if verdict.holds else EXIT_VIOLATION
+    _emit(refute_group_compatibility(v, schedule).to_json(), args.out)
+    return EXIT_OK
 
 
 #: "1" -> "C1", ..., "remark" -> "Remark"
@@ -204,7 +202,10 @@ def _cmd_verify(args) -> int:
         if token.lower() not in _CLAIM_ALIASES:
             raise InvalidParamsError(
                 f"unknown claim {token!r} (expected {','.join(_CLAIM_ALIASES)})")
-        claims.append(_CLAIM_ALIASES[token.lower()])
+        claim = _CLAIM_ALIASES[token.lower()]
+        if claim in claims:
+            raise InvalidParamsError(f"claim {claim} named more than once")
+        claims.append(claim)
     config = SampleConfig(
         max_support=args.max_support,
         max_index=args.max_index,

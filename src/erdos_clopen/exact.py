@@ -225,16 +225,9 @@ class RootExpr:
     def __reduce__(self):  # as `RootValue.__reduce__`; the memo slots start empty
         return RootExpr, (self.terms,)
 
-    def __add__(self, other: ExprLike) -> "RootExpr":
-        other = RootExpr.coerce(other)
-        return RootExpr(self.terms + other.terms)
-
     def __sub__(self, other: ExprLike) -> "RootExpr":
         other = RootExpr.coerce(other)
         return RootExpr(self.terms + tuple((-c, r) for c, r in other.terms))
-
-    def __neg__(self) -> "RootExpr":
-        return RootExpr(tuple((-c, r) for c, r in self.terms))
 
     def __repr__(self):
         if not self.terms:

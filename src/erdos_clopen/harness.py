@@ -103,6 +103,9 @@ class SampleConfig:
     count_inner: int = 16
 
     def __post_init__(self):
+        for name, value in asdict(self).items():
+            if type(value) is not int:  # bool is an int subclass, not a count
+                raise InvalidParamsError(f"{name} must be an integer, got {value!r}")
         if self.max_support < 0:
             raise InvalidParamsError("max_support must be >= 0")
         for name in ("max_index", "max_numerator", "max_denominator"):

@@ -39,6 +39,11 @@ EntryLike = Union[Mapping[int, Fraction], Iterable[tuple[int, Fraction]]]
 _set = object.__setattr__
 
 
+def _check_index(index) -> None:
+    if type(index) is not int or index < 1:  # bool is an int subclass, not an index
+        raise InputError(f"indices must be positive integers, got {index!r}")
+
+
 @dataclass(frozen=True, init=False, repr=False)
 class Point:
     """Immutable sparse sequence with nonzero rational coordinates."""
@@ -53,8 +58,7 @@ class Point:
         items = entries.items() if isinstance(entries, Mapping) else entries
         coords = {}
         for index, value in items:
-            if not isinstance(index, int) or index < 1:
-                raise InputError(f"indices must be positive integers, got {index!r}")
+            _check_index(index)
             if index in coords:
                 raise InputError(f"duplicate index {index}")
             coords[index] = Fraction(value)
@@ -145,8 +149,7 @@ ZERO = Point()
 
 def unit(index: int) -> Point:
     """The standard unit vector at the given 1-based index."""
-    if index < 1:
-        raise InputError(f"indices must be positive integers, got {index!r}")
+    _check_index(index)
     return Point._from_ints((index,), (1,), 1)
 
 

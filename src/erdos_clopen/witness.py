@@ -175,6 +175,12 @@ def construct_witness(v: VSpec, schedule: Schedule) -> WitnessRecord:
     )
 
 
+def _check(name: str, lhs, rhs, relation: str, holds: bool) -> dict:
+    """One entry of `verify_witness`: the inequality's name, the exact
+    quantities compared, the relation between them and whether it holds."""
+    return {"check": name, "lhs": lhs, "rhs": rhs, "relation": relation, "holds": holds}
+
+
 def verify_witness(x: Point, y: Point, z: Point, m_star: int, l_star: int,
                    r_star: Fraction, schedule: Schedule) -> list[dict]:
     """Check every inequality a witness record asserts, each once.
@@ -191,51 +197,24 @@ def verify_witness(x: Point, y: Point, z: Point, m_star: int, l_star: int,
     failing = first_failing_n(z, schedule)  # None exactly when z is in O
     y_sq, r_sq, x_plus_y = y.norm_sq(), r_star * r_star, add(x, y)
 
-    checks = [
-        {
-            "check": "y_in_ball",  # |y|^2 = q^2 < r*^2
-            "lhs": format_rational(y_sq),
-            "rhs": format_rational(r_sq),
-            "relation": "<",
-            "holds": y_sq < r_sq,
-        },
-        {
-            "check": "z_is_x_plus_y",
-            "lhs": x_plus_y.to_json(),
-            "rhs": z.to_json(),
-            "relation": "==",
-            "holds": x_plus_y == z,
-        },
-        {
-            "check": "m_chain",  # m_z <= m_x < l*
-            "lhs": {"m_z": m_z, "m_x": m_x},
-            "rhs": {"l_star": l_star},
-            "relation": "m_z <= m_x < l_star",
-            "holds": m_z is not None and m_x is not None and m_z <= m_x < l_star,
-        },
-        {
-            "check": "coordinate_violation",  # |z_l*|^2 > beta_m*^2
-            "lhs": format_rational(z_l * z_l),
-            "rhs": format_rational(pair.beta.base),
-            "relation": ">",
-            "holds": z_l * z_l > pair.beta.base,
-        },
-        {
-            "check": "z_outside_A_at_m_star",
-            "lhs": {"in_A": z_in_A_star},
-            "rhs": {"expected": False},
-            "relation": "==",
-            "holds": not z_in_A_star,
-        },
-        {
-            "check": "z_outside_O",
-            "lhs": {"first_failing_n": failing},
-            "rhs": {"failing_n_at_most": m_star},
-            "relation": "exists a failing index <= m*",
-            "holds": failing is not None and failing <= m_star,
-        },
+    return [
+        # |y|^2 = q^2 < r*^2
+        _check("y_in_ball", format_rational(y_sq), format_rational(r_sq), "<",
+               y_sq < r_sq),
+        _check("z_is_x_plus_y", x_plus_y.to_json(), z.to_json(), "==", x_plus_y == z),
+        # m_z <= m_x < l*
+        _check("m_chain", {"m_z": m_z, "m_x": m_x}, {"l_star": l_star},
+               "m_z <= m_x < l_star",
+               m_z is not None and m_x is not None and m_z <= m_x < l_star),
+        # |z_l*|^2 > beta_m*^2
+        _check("coordinate_violation", format_rational(z_l * z_l),
+               format_rational(pair.beta.base), ">", z_l * z_l > pair.beta.base),
+        _check("z_outside_A_at_m_star", {"in_A": z_in_A_star}, {"expected": False},
+               "==", not z_in_A_star),
+        _check("z_outside_O", {"first_failing_n": failing}, {"failing_n_at_most": m_star},
+               "exists a failing index <= m*",
+               failing is not None and failing <= m_star),
     ]
-    return checks
 
 
 def generalized_witness(k_source: PointSource, eps: Fraction,
@@ -248,21 +227,19 @@ def generalized_witness(k_source: PointSource, eps: Fraction,
 
 @dataclass(frozen=True)
 class RefutationVerdict:
-    """Machine-checkable assembly of the incompatibility argument."""
+    """Machine-checkable assembly of the incompatibility argument around one
+    witness, whose checks are the rechecks and decide `holds`."""
 
-    premise: str
     witness: WitnessRecord
-    rechecks: tuple
-    conclusion: str
-    holds: bool
 
     def to_json(self) -> dict:
+        checks = self.witness.checks
         return {
-            "premise": self.premise,
+            "premise": _PREMISE,
             "witness": self.witness.to_json(),
-            "rechecks": [dict(check) for check in self.rechecks],
-            "conclusion": self.conclusion,
-            "holds": self.holds,
+            "rechecks": [dict(check) for check in checks],
+            "conclusion": _CONCLUSION,
+            "holds": all(check["holds"] for check in checks),
         }
 
 
@@ -281,14 +258,5 @@ _CONCLUSION = (
 
 
 def refute_group_compatibility(v: VSpec, schedule: Schedule) -> RefutationVerdict:
-    """Produce the full verdict for one candidate V; its rechecks are the
-    witness's checks, which `construct_witness` ran once."""
-    record = construct_witness(v, schedule)
-    holds = all(check["holds"] for check in record.checks)
-    return RefutationVerdict(
-        premise=_PREMISE,
-        witness=record,
-        rechecks=record.checks,
-        conclusion=_CONCLUSION,
-        holds=holds,
-    )
+    """Produce the full verdict for one candidate V."""
+    return RefutationVerdict(construct_witness(v, schedule))

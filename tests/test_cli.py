@@ -331,6 +331,12 @@ class TestVerify:
         assert code == EXIT_INVALID
         assert "unknown claim" in err
 
+    def test_repeated_claim_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--claims", "1,1,remark,Remark",
+                                 "--samples", "3")
+        assert code == EXIT_INVALID and out == ""
+        assert err == "error: claim C1 named more than once\n"
+
     def test_huge_max_index_is_fast(self, capsys):
         started = time.perf_counter()
         code, _, _ = run_cli(capsys, "verify", "--claims", "1", "--samples", "50",
@@ -668,3 +674,24 @@ class TestPinnedOutputBytes:
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "f1e983defd9214a3241cb33a932b0cc12894f60aceaa29a36a745e5c70b26f4f")
+
+    def test_refute_document(self, capsys, tmp_path):
+        pts = tmp_path / "pts.json"
+        pts.write_text(json.dumps([{"coords": {"1": "1/2"}},
+                                   {"coords": {"2": "-900/7", "5": "7/3"}}]))
+        pinned = [
+            (["--ball-radius", "1"],
+             "6018d8c9c6e1f4759777b1ef58234e3f3978f345d876b65d076af0eeca580260"),
+            (["--ball-radius", "1/3"],
+             "db0b6f972e7188de3a58e2e301e50317bcb8cf3d8d8138db599653af53e03f9d"),
+            (["--ball-radius", "1/7"],
+             "5ed9f481a1ebb80eda1d6af4fb5823a739113a9f01afbe093ed9d773d9b18d7c"),
+            (["--ball-radius", "1/1000"],
+             "086604ca97c557a0816b07b5d392c02f3eb4f645b282cea68a7b9252c1a1c742"),
+            (["--ball-radius", "1/3", "--source", f"file:{pts}"],
+             "ee6fda2065e8952405dcc21642829005d991dca9d6e74e7723b056ad0ec64efd"),
+        ]
+        for argv, digest in pinned:
+            code, out, _ = run_cli(capsys, "refute", *argv)
+            assert code == EXIT_OK
+            assert (argv, hashlib.sha256(out.encode()).hexdigest()) == (argv, digest)

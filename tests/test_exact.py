@@ -331,13 +331,12 @@ class TestCmpRootExpr:
 
     def test_mixed_degree_expressions(self):
         # sqrt(2) + 2^(1/4) vs 3 - 2^(1/4): 2.603... vs 1.810...
-        lhs = RootExpr.coerce(root(2, 2)) + RootExpr.coerce(root(2, 4))
+        lhs = RootExpr([(1, root(2, 2)), (1, root(2, 4))])
         rhs = rat(3) - RootExpr.coerce(root(2, 4))
         assert cmp_root_expr(lhs, rhs) == Ordering.GREATER
 
     def test_rejects_three_terms(self):
-        three = rat(1) + RootExpr.coerce(root(2, 2)) \
-            + RootExpr.coerce(root(3, 2))
+        three = RootExpr([(1, None), (1, root(2, 2)), (1, root(3, 2))])
         with pytest.raises(UnsupportedFormError):
             cmp_root_expr(three, rat(0))
         with pytest.raises(UnsupportedFormError):
@@ -429,7 +428,7 @@ class TestExprMin:
 class TestComparisonStress:
     def test_equal_through_different_representations(self):
         # 3*sqrt(2) + 5*sqrt(18) = 18*sqrt(2) = 2*sqrt(162)
-        lhs = RootExpr([(F(3), root(2, 2))]) + RootExpr([(F(5), root(18, 2))])
+        lhs = RootExpr([(F(3), root(2, 2)), (F(5), root(18, 2))])
         rhs = RootExpr([(F(2), root(162, 2))])
         assert cmp_root_expr(lhs, rhs) == Ordering.EQUAL
         # 512^(1/4) = 4*2^(1/4): equality splits across the subtraction
@@ -439,8 +438,8 @@ class TestComparisonStress:
 
     def test_near_equal_needs_only_tiny_nudge(self):
         # 18*sqrt(2) + epsilon on one side
-        lhs = RootExpr([(F(3), root(2, 2))]) + RootExpr([(F(5), root(18, 2))])
-        rhs = RootExpr([(F(2), root(162, 2))]) + rat(F(1, 10 ** 30))
+        lhs = RootExpr([(F(3), root(2, 2)), (F(5), root(18, 2))])
+        rhs = RootExpr([(F(2), root(162, 2)), (F(1, 10 ** 30), None)])
         assert cmp_root_expr(lhs, rhs) == Ordering.LESS
 
     def test_separation_from_deep_convergents(self):
@@ -477,7 +476,7 @@ def near_third(above: bool) -> RootExpr:
     p, q = 1, 1
     while q <= 2 ** 33 or (p * p < 2 * q * q) != above:
         p, q = p + 2 * q, p + q
-    return rat(F(1, 3) - F(p, q)) + RootExpr.coerce(root(2, 2))
+    return RootExpr([(F(1, 3) - F(p, q), None), (1, root(2, 2))])
 
 
 def brute_force_simplest(lo_cmp, hi_cmp, window, max_den=200):
@@ -544,7 +543,7 @@ class TestRationalInInterval:
     def test_matches_scan_on_irrational_endpoints(self):
         # (sqrt(2), 2^(1/4) + 3/2): oracle-driven exhaustive scan
         lo = root(2, 2)
-        hi = RootExpr.coerce(root(2, 4)) + rat(F(3, 2))
+        hi = RootExpr([(1, root(2, 4)), (F(3, 2), None)])
         got = rational_in_interval(lo, hi)
 
         def above_lo(v):
@@ -717,7 +716,8 @@ def seeded_two_term_exprs(count, seed):
             base += 1
         return RootExpr([(coef, root(base, rng.choice([2, 4])))])
 
-    return [(term() + term(), rng.randint(0, 40)) for _ in range(count)]
+    return [(RootExpr(term().terms + term().terms), rng.randint(0, 40))
+            for _ in range(count)]
 
 
 class TestPinnedSearchResults:
@@ -731,9 +731,10 @@ class TestPinnedSearchResults:
             if order == Ordering.EQUAL:
                 lines.append("zero")
                 continue
-            positive = expr if order == Ordering.GREATER else -expr
+            positive = expr if order == Ordering.GREATER else rat(0) - expr
             caps = [largest_rational_at_most(positive, cap) for cap in (1, 10, 10 ** 6)]
-            narrow = rational_in_interval(expr, expr + rat(F(1, 2 ** width_bits)))
+            narrow = rational_in_interval(
+                expr, RootExpr(expr.terms + rat(F(1, 2 ** width_bits)).terms))
             side = cmp_root_expr(expr, other)
             if side == Ordering.EQUAL:
                 wide = None
@@ -792,7 +793,7 @@ def near(expr: RootExpr, target: F, above: bool) -> RootExpr:
     given side, so its 64-bit enclosure overlaps target's and that of any
     other such value."""
     lo, hi, den = exact.RootExpr.coerce(expr)._enclosure_at(96)
-    return rat(target - F(lo if above else hi, den)) + expr
+    return RootExpr(rat(target - F(lo if above else hi, den)).terms + expr.terms)
 
 
 # dependent radicals (sqrt(8) = 2*sqrt(2), sqrt(1/2) = sqrt(2)/2,
@@ -805,7 +806,8 @@ plain_terms = st.builds(rat, st.sampled_from([F(0), F(1), F(-1, 2), F(3, 2), F(2
 order_exprs = st.one_of(
     plain_terms,
     root_terms,
-    st.builds(lambda a, b: a + b, plain_terms | root_terms, root_terms),
+    st.builds(lambda a, b: RootExpr(a.terms + b.terms),
+              plain_terms | root_terms, root_terms),
     st.builds(near, root_terms, st.sampled_from([F(0), F(1, 3), F(1)]), st.booleans()),
 )
 
@@ -942,7 +944,7 @@ def positive_part(exprs):
     """The expressions among exprs that are positive, each negated when
     negative; zeros are dropped."""
     signs = [cmp_root_expr(expr, rat(0)) for expr in exprs]
-    return [expr if sign == Ordering.GREATER else -expr
+    return [expr if sign == Ordering.GREATER else rat(0) - expr
             for expr, sign in zip(exprs, signs) if sign != Ordering.EQUAL]
 
 

@@ -81,6 +81,15 @@ class TestSampleConfig:
             SampleConfig(count=-1)
         SampleConfig(max_support=0)  # allowed: forces the zero point
 
+    @pytest.mark.parametrize("name, value", [
+        ("max_numerator", 2.5), ("count", 2.5), ("count_inner", 1.5), ("seed", 1.5),
+        ("max_support", True)])
+    def test_fields_that_are_not_ints_are_rejected(self, name, value):
+        """Caught here, not as a TypeError in the middle of `run_suite` or
+        as a bool in the report's config."""
+        with pytest.raises(InvalidParamsError, match=f"{name} must be an integer"):
+            SampleConfig(**{name: value})
+
     @pytest.mark.parametrize("caps", [
         {"max_index": 2 ** 64 + 1}, {"max_numerator": 2 ** 64 + 1},
         {"max_denominator": 2 ** 64 + 1},

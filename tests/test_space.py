@@ -8,7 +8,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from erdos_clopen.exact import RootValue
+from erdos_clopen.exact import InputError, RootValue
 from erdos_clopen.space import (
     ZERO,
     Point,
@@ -44,6 +44,15 @@ class TestPoint:
             Point([(0, F(1))])
         with pytest.raises(ValueError):
             Point([(2, F(1)), (2, F(2))])
+
+    @pytest.mark.parametrize("index", [2.0, True, "3"])
+    def test_index_that_is_not_an_int_is_input_error(self, index):
+        """A float or bool index would print as "2.0" or "True", which
+        `from_json` rejects; a string would fail the comparison with 1."""
+        with pytest.raises(InputError, match="indices must be positive integers"):
+            unit(index)
+        with pytest.raises(InputError, match="indices must be positive integers"):
+            Point({index: F(1, 2)})
 
     def test_coordinate_lookup(self):
         p = pt(F(1, 2), 0, 7)

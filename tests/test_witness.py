@@ -1,5 +1,6 @@
 """Witness construction, the generalized variant, and the verdict."""
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -11,6 +12,7 @@ from erdos_clopen.exact import InputError, RootValue, is_rational_power
 from erdos_clopen.space import Point, add, scale, unit
 from erdos_clopen.clopen import DEFAULT_SCHEDULE, Schedule, first_failing_n, in_O
 from erdos_clopen.witness import (
+    RefutationVerdict,
     SourceFailureError,
     VSpec,
     WitnessCase,
@@ -305,8 +307,8 @@ class TestVerdict:
     def test_ray_verdict(self):
         verdict = refute_group_compatibility(VSpec(F(1), ray_source()),
                                              DEFAULT_SCHEDULE)
-        assert verdict.holds
-        assert all(check["holds"] for check in verdict.rechecks)
+        assert verdict.to_json()["holds"] is True
+        assert all(check["holds"] for check in verdict.witness.checks)
         data = verdict.to_json()
         assert data["holds"] is True
         assert data["witness"]["q"] == "1/2"
@@ -319,7 +321,17 @@ class TestVerdict:
         # V = the whole space: any unbounded source works, r* arbitrary
         verdict = refute_group_compatibility(
             VSpec(F(1), ray_source(pt([(3, 2)]))), DEFAULT_SCHEDULE)
-        assert verdict.holds
+        assert verdict.to_json()["holds"] is True
+
+    def test_verdict_reads_its_witness(self):
+        record = construct_witness(VSpec(F(1), ray_source()), DEFAULT_SCHEDULE)
+        checks = list(record.checks)
+        checks[2] = {**checks[2], "holds": False}
+        flipped = dataclasses.replace(record, checks=tuple(checks))
+        data = RefutationVerdict(flipped).to_json()
+        assert [field.name for field in dataclasses.fields(RefutationVerdict)] == ["witness"]
+        assert data["holds"] is False
+        assert data["rechecks"] == [dict(check) for check in flipped.checks]
 
     def test_verdict_withheld_for_bounded_source(self):
         bounded = file_source([pt([(1, 1)])])
