@@ -34,6 +34,7 @@ from .exact import (
     InputError,
     RootExpr,
     RootValue,
+    exact_fraction,
     expr_min,
     floor_root,
     format_rational,
@@ -113,7 +114,7 @@ class Schedule:
     _scales: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        a, b = Fraction(self.alpha_scale), Fraction(self.beta_scale)
+        a, b = exact_fraction(self.alpha_scale), exact_fraction(self.beta_scale)
         object.__setattr__(self, "alpha_scale", a)
         object.__setattr__(self, "beta_scale", b)
         if a <= 0 or b <= 0:

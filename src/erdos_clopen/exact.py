@@ -58,7 +58,9 @@ class InputError(ValueError):
 
 
 class InvalidRootError(InputError):
-    """The base of a root value is a rational square, so the root is rational."""
+    """The base or degree of a root value is outside its contract: a
+    rational square (so the root is rational), not positive, a binary
+    float, or a degree other than 2 and 4."""
 
 
 class UnsupportedFormError(ValueError):
@@ -98,6 +100,16 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(value: Fraction) -> str:
     """Canonical "p/q" string, denominator always written."""
     return f"{value.numerator}/{value.denominator}"
+
+
+def exact_fraction(value, error: type = InputError) -> Fraction:
+    """Fraction(value) for a Fraction, int or "p/q" string. A binary float
+    raises `error`: Fraction(0.1) is 3602879701896397/36028797018963968,
+    not the 1/10 the caller wrote."""
+    if isinstance(value, float):
+        raise error(f"binary float {value!r} is inexact; pass a Fraction, "
+                    "an int or a 'p/q' string")
+    return Fraction(value)
 
 
 def floor_root(value: Union[Fraction, int], degree: int) -> int:
@@ -142,7 +154,7 @@ class RootValue:
 
     def __init__(self, base: Fraction, degree: int):
         if type(base) is not Fraction:
-            base = Fraction(base)
+            base = exact_fraction(base, InvalidRootError)
         if degree not in (2, 4):
             raise InvalidRootError(f"degree must be 2 or 4, got {degree}")
         if base.numerator <= 0:

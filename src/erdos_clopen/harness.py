@@ -4,8 +4,13 @@ Every claim here is a theorem, so the suite is a falsification harness for
 the implementation: a violation report always indicates a bug and carries
 enough data (points, certificate, comparison trace) to replay the failed
 check in isolation. Sampling is a pure function of (config, draw index);
-reports are deterministic functions of (schedule, config). Each in-radius
-perturbation of a point is built as one integer point.
+reports are deterministic functions of (schedule, config).
+
+A base point (`sample_point`, and the C5 and Remark sources) takes one
+SplitMix64 word per choice. The in-radius perturbations of draw d in a
+claim with salt s draw from the streams derive_seed(seed, d, s, inner); each
+packs its direction's choices into shared words (`_packed_choices`, two words
+at the default caps) and is built as one integer point.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ class InvalidParamsError(InputError):
     """Claim id or parameters outside the suite's contract."""
 
 
-#: Most coordinates one sampled point may have; `_draw_ints` inserts its
+#: Most coordinates one sampled point may have; `_indices` inserts its
 #: indices one at a time, in time quadratic in their number.
 _MAX_COORDINATES = 1000
 
@@ -125,17 +130,12 @@ class SampleConfig:
 
 
 def _draw_ints(rng: SplitMix64, config: SampleConfig) -> tuple[list, list, int]:
-    """(increasing support, numerators, common denominator) of one sampled point."""
+    """(increasing support, numerators, common denominator) of one sampled
+    point, one SplitMix64 word per choice: the size, the index picks, then
+    (magnitude, sign, denominator) per coordinate."""
     size = rng.below(min(config.max_support, config.max_index) + 1)
-    indices = []  # increasing
-    for remaining in range(config.max_index, config.max_index - size, -1):
-        # the pick-th smallest index in [1, max_index] not chosen yet
-        index = 1 + rng.below(remaining)
-        for chosen in indices:
-            if chosen > index:
-                break
-            index += 1
-        insort(indices, index)
+    top = config.max_index
+    indices = _indices([rng.below(remaining) for remaining in range(top, top - size, -1)])
     nums, dens = [], []
     for _ in indices:
         magnitude = 1 + rng.below(config.max_numerator)
@@ -143,6 +143,65 @@ def _draw_ints(rng: SplitMix64, config: SampleConfig) -> tuple[list, list, int]:
         dens.append(1 + rng.below(config.max_denominator))
     den = lcm(*dens)
     return indices, [n * (den // d) for n, d in zip(nums, dens)], den
+
+
+def _draw_direction(rng: SplitMix64, config: SampleConfig) -> tuple[list, list, int]:
+    """`_draw_ints`'s choices in its order and with its distribution, after
+    the size packed into few words by `_packed_choices`: at the default caps
+    one word for an empty direction and two otherwise, where `_draw_ints`
+    takes one per choice."""
+    size = rng.below(min(config.max_support, config.max_index) + 1)
+    top = config.max_index
+    digits = _packed_choices(rng, [*range(top, top - size, -1),
+                                   *(config.max_numerator, 2, config.max_denominator) * size])
+    dens = [1 + d for d in digits[size + 2::3]]
+    den = lcm(*dens)
+    return _indices(digits[:size]), [
+        (-1 - magnitude if sign else 1 + magnitude) * (den // d)
+        for magnitude, sign, d in zip(digits[size::3], digits[size + 1::3], dens)], den
+
+
+def _packed_choices(rng: SplitMix64, ranges: list) -> list:
+    """One uniform choice in [0, r) per range r in [1, 2^64], in order.
+    Consecutive choices share one `rng.below(N)` while the product N of
+    their ranges stays <= 2^64, and the word is split back into them, the
+    first choice the least significant digit: a bijection from [0, N) onto
+    their tuples, so the choices stay independent and uniform. Past 2^64 a
+    choice starts a new word, so no product passes 2^128 and the words
+    drawn are at most the number of choices."""
+    choices, group, product = [], [], 1
+    for radix in ranges:
+        wider = product * radix
+        if wider > 1 << 64:
+            _split_word(rng.below(product), group, choices)
+            group, wider = [], radix
+        group.append(radix)
+        product = wider
+    if group:
+        _split_word(rng.below(product), group, choices)
+    return choices
+
+
+def _split_word(word: int, radices: list, choices: list) -> None:
+    """Append the mixed-radix digits of word, least significant first."""
+    for radix in radices:
+        choices.append(word % radix)
+        word //= radix
+
+
+def _indices(picks: list) -> list:
+    """Increasing indices of the picks: pick k is the pick-th smallest index
+    (from 0) in [1, max_index] not chosen by an earlier pick. Each is
+    inserted in turn, in time quadratic in their number."""
+    indices = []
+    for pick in picks:
+        index = 1 + pick
+        for chosen in indices:
+            if chosen > index:
+                break
+            index += 1
+        insort(indices, index)
+    return indices
 
 
 def _sample_point_with(rng: SplitMix64, config: SampleConfig) -> Point:
@@ -170,10 +229,11 @@ def _sample_rational_positive(rng: SplitMix64, config: SampleConfig) -> Fraction
 
 def perturb_within(base: Point, bound: Fraction, rng: SplitMix64,
                    config: SampleConfig) -> Point:
-    """base + bound/(2c) * d for a sampled direction d, built as one integer
-    point; c = floor(|d|) + 1 is the least integer with c^2 > |d|^2, so the
-    step |d| * bound / (2c) is below bound / 2."""
-    support, nums, den = _draw_ints(rng, config)
+    """base + bound/(2c) * d for a direction d drawn by `_draw_direction`
+    (its choices packed into shared words), built as one integer point by
+    one merge into base; c = floor(|d|) + 1 is the least integer with
+    c^2 > |d|^2, so the step |d| * bound / (2c) is below bound / 2."""
+    support, nums, den = _draw_direction(rng, config)
     if not support:
         return base
     root_ceil = floor_root(sum(n * n for n in nums) // (den * den), 2) + 1
@@ -221,12 +281,13 @@ def _violation(draw: int, point: Optional[Point], detail: str, **extra) -> dict:
 def _check_perturbations(report: ClaimReport, draw: int, x: Point, cert, salt: int,
                          config: SampleConfig, escaped, detail: str, **extra) -> None:
     """Record a violation for each of count_inner perturbations of x within
-    the certified bound for which escaped(perturbed point) holds; the
-    draw's seed is mixed once and extended by (inner, salt) per
-    perturbation."""
-    draw_seed = derive_seed(config.seed, draw)
+    the certified bound for which escaped(perturbed point) holds.
+    Perturbation inner draws from the stream derive_seed(seed, draw, salt,
+    inner): the salted seed is mixed once per draw and extended by one mix
+    per perturbation."""
+    salted = derive_seed(config.seed, draw, salt)
     for inner in range(config.count_inner):
-        rng = SplitMix64(_extend_seed(draw_seed, inner, salt))
+        rng = SplitMix64(_extend_seed(salted, inner))
         y = perturb_within(x, cert.bound, rng, config)
         if escaped(y):
             report.violations.append(_violation(

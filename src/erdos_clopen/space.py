@@ -32,7 +32,8 @@ from itertools import accumulate
 from math import gcd, isqrt, lcm
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .exact import MAX_DIGITS, InputError, RootValue, format_rational, parse_rational
+from .exact import (MAX_DIGITS, InputError, RootValue, exact_fraction, format_rational,
+                    parse_rational)
 
 EntryLike = Union[Mapping[int, Fraction], Iterable[tuple[int, Fraction]]]
 
@@ -61,7 +62,7 @@ class Point:
             _check_index(index)
             if index in coords:
                 raise InputError(f"duplicate index {index}")
-            coords[index] = Fraction(value)
+            coords[index] = value if type(value) is Fraction else exact_fraction(value)
         support = sorted(coords)
         den = lcm(*(value.denominator for value in coords.values()))
         self._canonicalise(support, [coords[i].numerator * (den // coords[i].denominator)
@@ -158,18 +159,30 @@ def add(x: Point, y: Point) -> Point:
 
 
 def _add_ints(x: Point, support: Sequence[int], nums: Sequence[int], den: int) -> Point:
-    """x plus nums[k] / den at the increasing indices support[k], canonicalised once."""
+    """x plus nums[k] / den at the increasing indices support[k], canonicalised
+    once; the two increasing supports are merged in one pass."""
     common = lcm(x._den, den)
     fx, fy = common // x._den, common // den
-    merged = dict(zip(x.support, [n * fx for n in x._nums]))
-    for index, n in zip(support, nums):
-        merged[index] = merged.get(index, 0) + n * fy
-    indices = sorted(merged)
-    return Point._from_ints(indices, [merged[i] for i in indices], common)
+    indices, merged = [], []
+    j, count = 0, len(support)
+    for index, n in zip(x.support, x._nums):
+        n *= fx
+        while j < count and support[j] < index:
+            indices.append(support[j])
+            merged.append(nums[j] * fy)
+            j += 1
+        if j < count and support[j] == index:
+            n += nums[j] * fy
+            j += 1
+        indices.append(index)
+        merged.append(n)
+    indices.extend(support[j:])
+    merged.extend([n * fy for n in nums[j:]])
+    return Point._from_ints(indices, merged, common)
 
 
 def scale(factor: Fraction, x: Point) -> Point:
-    p, q = Fraction(factor).as_integer_ratio()
+    p, q = exact_fraction(factor).as_integer_ratio()
     return Point._from_ints(x.support, [n * p for n in x._nums], x._den * q)
 
 

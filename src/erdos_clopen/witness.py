@@ -21,6 +21,7 @@ from typing import Callable, Optional, Sequence
 from .exact import (
     InputError,
     RootValue,
+    exact_fraction,
     floor_root,
     format_rational,
     rational_in_interval,
@@ -52,7 +53,7 @@ class VSpec:
     source: PointSource
 
     def __post_init__(self):
-        object.__setattr__(self, "ball_radius", Fraction(self.ball_radius))
+        object.__setattr__(self, "ball_radius", exact_fraction(self.ball_radius))
         if self.ball_radius <= 0:
             raise InputError("ball_radius must be positive")
 

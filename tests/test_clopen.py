@@ -72,6 +72,12 @@ class TestSchedule:
             assert pair.alpha == RootValue(2 * a ** 4 * F(n) ** 4, 4)
             assert pair.beta == RootValue(2 * b ** 2 / F(n) ** 2, 2)
 
+    @pytest.mark.parametrize("scales", [{"alpha_scale": 0.1}, {"beta_scale": 0.1}])
+    def test_binary_float_scale_is_input_error(self, scales):
+        """Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10."""
+        with pytest.raises(InputError, match="binary float 0.1 is inexact"):
+            Schedule(**scales)
+
     @pytest.mark.parametrize("call", ["pair_at"])
     @pytest.mark.parametrize("n", [0, -2, -3, 1.0, True, False])
     def test_formulas_reject_bad_indices(self, call, n):

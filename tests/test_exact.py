@@ -104,12 +104,19 @@ class TestRootValue:
             with pytest.raises(InvalidRootError):
                 RootValue(base, 3)
 
-    @pytest.mark.parametrize("base", [2, "2", F(4, 2), 2.0])
+    @pytest.mark.parametrize("base", [2, "2", F(4, 2)])
     def test_non_fraction_bases_are_stored_as_fractions(self, base):
         r = RootValue(base, 4)
         assert type(r.base) is F and r.base == 2
         assert r == RootValue(F(2), 4)
         assert hash(r) == hash(RootValue(F(2), 4))
+
+    @pytest.mark.parametrize("base", [0.1, 2.0])
+    def test_binary_float_base_is_refused(self, base):
+        """Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10; an
+        integral float is refused too, as every float is."""
+        with pytest.raises(InvalidRootError, match=f"binary float {base} is inexact"):
+            RootValue(base, 2)
 
     @given(st.integers(1, 10 ** 40), st.integers(1, 10 ** 40), st.integers(1, 10 ** 6),
            st.sampled_from([2, 4]))

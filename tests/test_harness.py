@@ -3,6 +3,8 @@
 import hashlib
 import json
 from fractions import Fraction as F
+from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -162,6 +164,122 @@ def pool_sample(rng: SplitMix64, config: SampleConfig) -> Point:
     return Point(entries)
 
 
+def pool_packed_direction(rng: SplitMix64, config: SampleConfig) -> Point:
+    """Reference direction sampler: `pool_sample`'s choices, each run of them
+    whose ranges multiply to at most 2^64 read as the mixed-radix digits
+    (first choice least significant) of one rng.below(product); indices are
+    popped from an explicit pool."""
+    size = rng.below(min(config.max_support, config.max_index) + 1)
+    pending = [config.max_index - k for k in range(size)]
+    pending += [config.max_numerator, 2, config.max_denominator] * size
+    digits = []
+    while pending:
+        run = 1
+        while run < len(pending) and prod(pending[:run + 1]) <= 2 ** 64:
+            run += 1
+        word = rng.below(prod(pending[:run]))
+        for radix in pending[:run]:
+            digits.append(word % radix)
+            word //= radix
+        del pending[:run]
+    pool = list(range(1, config.max_index + 1))
+    indices = [pool.pop(pick) for pick in digits[:size]]
+    coefficients = [digits[size + 3 * k:size + 3 * k + 3] for k in range(size)]
+    return Point((index, F(-1 - magnitude if sign else 1 + magnitude, 1 + den))
+                 for index, (magnitude, sign, den) in zip(sorted(indices), coefficients))
+
+
+class ScriptedWords:
+    """Stands in for SplitMix64: below(n) records n and returns the next
+    scripted value."""
+
+    def __init__(self, values):
+        self.values, self.bounds = list(values), []
+
+    def below(self, n):
+        self.bounds.append(n)
+        value = self.values.pop(0)
+        assert 0 <= value < n
+        return value
+
+
+class CountingSplitMix64(SplitMix64):
+    """SplitMix64 that counts the words it draws."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, seed: int):
+        super().__init__(seed)
+        self.words = 0
+
+    def next_u64(self) -> int:
+        self.words += 1
+        return super().next_u64()
+
+
+class TestPackedChoices:
+    @pytest.mark.parametrize("max_index, max_numerator, max_denominator", [
+        (1, 1, 1), (2, 3, 2), (3, 2, 3), (4, 1, 5), (5, 4, 1), (6, 2, 2)])
+    def test_one_word_decodes_onto_every_tuple_of_choices_once(
+            self, max_index, max_numerator, max_denominator):
+        """For every direction size whose choices multiply to at most 10^4,
+        the words [0, N) decode onto the N tuples of choices, each once."""
+        for size in range(1, max_index + 1):
+            ranges = [max_index - k for k in range(size)]
+            ranges += [max_numerator, 2, max_denominator] * size
+            words = prod(ranges)
+            if words > 10 ** 4:
+                break
+            decoded = []
+            for word in range(words):
+                rng = ScriptedWords([word])
+                decoded.append(tuple(harness._packed_choices(rng, ranges)))
+                assert rng.bounds == [words]
+            assert sorted(decoded) == list(product(*map(range, ranges)))
+
+    def test_a_choice_past_two_to_the_64_starts_a_new_word(self):
+        ranges = [2 ** 40, 2 ** 24, 3, 2 ** 64, 2, 1, 2 ** 63 + 1]
+        rng = ScriptedWords([5 + 2 ** 40 * 7, 2, 2 ** 64 - 1, 1, 9])
+        assert harness._packed_choices(rng, ranges) == [5, 7, 2, 2 ** 64 - 1, 1, 0, 9]
+        assert rng.bounds == [2 ** 64, 3, 2 ** 64, 2, 2 ** 63 + 1]
+        assert not rng.values
+
+    def test_default_caps_draw_one_word_per_empty_direction_and_two_otherwise(
+            self, monkeypatch):
+        """Over the seed-42 C2 to C4 perturbations, one `below` for the size
+        and one for the rest of a non-empty direction; `below`'s rejection
+        step redraws 17 of those words, counted once and pinned."""
+        counts = {"perturbations": 0, "nonempty": 0, "belows": 0, "words": 0}
+        original = harness.perturb_within
+
+        class Counted(CountingSplitMix64):
+            __slots__ = ()
+
+            def below(self, n):
+                counts["belows"] += 1
+                return super().below(n)
+
+        def counted(base, bound, rng, config):
+            counting = Counted(0)
+            counting._state = rng._state
+            y = original(base, bound, counting, config)
+            counts["perturbations"] += 1
+            counts["nonempty"] += y is not base
+            counts["words"] += counting.words
+            return y
+
+        monkeypatch.setattr(harness, "perturb_within", counted)
+        config = SampleConfig(seed=42, count=100)
+        assert verify_claim("C2", DEFAULT_PAIR, config).passed
+        assert verify_claim("C3", DEFAULT_PAIR, config).passed
+        assert verify_claim("C4", DEFAULT_SCHEDULE, config).passed
+        # each draw is eligible for one of C2 and C3, and for C4
+        assert counts["perturbations"] == 2 * 100 * 16
+        drawn = counts["perturbations"] + counts["nonempty"]
+        assert counts["belows"] == drawn
+        assert counts["words"] == drawn + 17
+
+
 class TestSamplerMatchesPool:
     @pytest.mark.parametrize("support,index", [(6, 12), (12, 12), (5, 5), (9, 40),
                                                (3, 1), (0, 7), (20, 25)])
@@ -188,9 +306,10 @@ class TestPinnedSampledPoints:
 
 
 def composed_perturb(base: Point, bound, rng: SplitMix64, config: SampleConfig) -> Point:
-    """Reference: the direction as a Point, scaled by the Fraction
-    bound/(2c) with c = floor(|d|) + 1, then added to base."""
-    direction = _sample_point_with(rng, config)
+    """Reference: the direction from `pool_packed_direction` as a Point,
+    scaled by the Fraction bound/(2c) with c = floor(|d|) + 1, then added
+    to base."""
+    direction = pool_packed_direction(rng, config)
     if direction.is_zero():
         return base
     root_ceil = floor_root(direction.norm_sq(), 2) + 1
@@ -202,11 +321,10 @@ class TestPinnedPerturbations:
         """sha256 over 1200 perturb_within results and the draw after each:
         100 seed-42 bases, three inner streams each, and per stream a
         certificate bound, a 20-digit bound, an int bound and a
-        zero-direction config. Recorded with the `composed_perturb`
-        composition, each int bound given as the equal Fraction (that
-        composition divided an int bound in float; see
-        test_int_bound_is_exact). A and O are sign-symmetric, so the verify
-        report alone cannot see a sign error in the direction."""
+        zero-direction config. Recorded when directions were first packed
+        into shared words, and checked then against `composed_perturb`. A
+        and O are sign-symmetric, so the verify report alone cannot see a
+        sign error in the direction."""
         config = SampleConfig(seed=42, count=100)
         no_support = SampleConfig(max_support=0, seed=42, count=100)
         lines = []
@@ -227,7 +345,7 @@ class TestPinnedPerturbations:
                     y = perturb_within(base, bound, rng, case_config)
                     lines.append(json.dumps([y.to_json(), rng.next_u64()], sort_keys=True))
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
-            "9cc730da4d0c0c68081174ec80fee21ca6d2e6902580c2832ae7eee5c026efb8")
+            "03d5e3f84f5ba0415e525780bcd25390177ab56b7ed0a3e8ad2cc6c707892f40")
 
     def test_int_bound_is_exact(self):
         config = SampleConfig(seed=42, count=1)
@@ -255,6 +373,19 @@ class TestPerturbWithin:
             bound = F(1, 1 + k % 17)
             y = perturb_within(ZERO, bound, SplitMix64(k), config)
             assert y.norm_sq() < bound * bound
+
+    def test_caps_of_two_to_the_64_and_a_thousand_coordinates(self):
+        """No two of these choices share a word, so the words drawn grow
+        linearly with the support: one for the size and four per coordinate."""
+        config = SampleConfig(max_support=1000, max_index=2 ** 64, max_numerator=2 ** 64,
+                              max_denominator=2 ** 64, seed=0, count=1)
+        seed = next(s for s in range(10 ** 4) if SplitMix64(s).below(1001) == 1000)
+        rng = CountingSplitMix64(seed)
+        bound = F(1, 3)
+        y = perturb_within(ZERO, bound, rng, config)
+        assert len(y.support) == 1000
+        assert y.norm_sq() < bound * bound
+        assert rng.words == 1 + 4 * 1000
 
     def test_nonzero_bases_stay_within_half_the_bound(self):
         config = SampleConfig(seed=5, count=200)
@@ -389,7 +520,8 @@ class TestPinnedViolationRecords:
     def test_flipped_perturbations_give_pinned_records(self, monkeypatch):
         """Flip the membership of every perturbed point, and only of those,
         so each C2-C4 perturbation is recorded as a violation; sha256 of the
-        three reports, recorded once and pinned."""
+        three reports, recorded once and pinned, and recorded again when
+        perturbation directions were packed into shared words."""
         from erdos_clopen import harness
 
         perturbed = {}  # id -> point; holding the points keeps their ids unused
@@ -416,7 +548,7 @@ class TestPinnedViolationRecords:
         assert [len(r.violations) for r in reports] == [132, 108, 240]
         text = "\n".join(json.dumps(r.to_json(), sort_keys=True) for r in reports)
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "88cbb489bc7383169931ca1e906e316561d0e6e14937883e3ee9d2b436a6a6de")
+            "73a5ef92c9cd5bca3cc3ff79b8835f584edf20dadcae5e17b808779daa1d1605")
 
 
 class TestConstructionFailedRecords:

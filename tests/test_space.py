@@ -54,6 +54,13 @@ class TestPoint:
         with pytest.raises(InputError, match="indices must be positive integers"):
             Point({index: F(1, 2)})
 
+    def test_binary_float_coordinate_is_input_error(self):
+        """Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10."""
+        with pytest.raises(InputError, match="binary float 0.1 is inexact"):
+            Point({1: 0.1})
+        assert Point({1: 1, 2: "1/10", 3: F(1, 10)}).entries == (
+            (1, F(1)), (2, F(1, 10)), (3, F(1, 10)))
+
     def test_coordinate_lookup(self):
         p = pt(F(1, 2), 0, 7)
         assert p.coordinate(1) == F(1, 2)
@@ -122,6 +129,11 @@ class TestArithmetic:
         x = pt(1, 2)
         assert add(x, ZERO) == x
         assert scale(F(1, 2), unit(2)) == Point([(2, F(1, 2))])
+
+    def test_scale_refuses_a_binary_float_factor(self):
+        """Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10."""
+        with pytest.raises(InputError, match="binary float 0.1 is inexact"):
+            scale(0.1, unit(1))
 
     def test_cancellation_restores_canonical_form(self):
         x = pt(1, 2)

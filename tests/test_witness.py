@@ -101,6 +101,11 @@ class TestConstructWitness:
         with pytest.raises(ValueError):
             VSpec(F(-1), ray_source())
 
+    def test_vspec_refuses_a_binary_float_radius(self):
+        """Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10."""
+        with pytest.raises(InputError, match="binary float 0.1 is inexact"):
+            VSpec(0.1, ray_source())
+
     def test_bounded_source_fails(self):
         bounded = file_source([pt([(1, 1)]), pt([(2, F(1, 2))])])
         with pytest.raises(SourceFailureError):
