@@ -218,7 +218,7 @@ class RootExpr:
         cleaned = []
         for coef, root in terms:
             if type(coef) is not Fraction:
-                coef = Fraction(coef)
+                coef = exact_fraction(coef)
             if not coef:
                 continue
             if root is not None and not isinstance(root, RootValue):
@@ -524,6 +524,8 @@ def largest_rational_at_most(value: ExprLike, den_cap: int) -> Fraction:
     positive; that q is ceil(1/value), read off both ends.
     """
     value = RootExpr.coerce(value)
+    if type(den_cap) is not int:  # bool is an int subclass, not a cap
+        raise InputError(f"den_cap must be an integer, got {den_cap!r}")
     if den_cap < 1:
         raise InputError(f"den_cap must be >= 1, got {den_cap}")
     if value._sign() <= 0:

@@ -6,11 +6,13 @@ enough data (points, certificate, comparison trace) to replay the failed
 check in isolation. Sampling is a pure function of (config, draw index);
 reports are deterministic functions of (schedule, config).
 
-A base point (`sample_point`, and the C5 and Remark sources) takes one
+A base point (`sample_point`, and the C5 and Remark radii) takes one
 SplitMix64 word per choice. The in-radius perturbations of draw d in a
-claim with salt s draw from the streams derive_seed(seed, d, s, inner); each
-packs its direction's choices into shared words (`_packed_choices`, two words
-at the default caps) and is built as one integer point.
+claim with salt s draw their directions in turn from the one stream
+derive_seed(seed, d, s), so a draw mixes one seed whatever its count; a
+direction, a perturbation's or a C5 and Remark ray's, packs its choices
+into shared words (`_packed_choices`, two words at the default caps), and a
+perturbation is built as one integer point.
 """
 
 from __future__ import annotations
@@ -282,12 +284,11 @@ def _check_perturbations(report: ClaimReport, draw: int, x: Point, cert, salt: i
                          config: SampleConfig, escaped, detail: str, **extra) -> None:
     """Record a violation for each of count_inner perturbations of x within
     the certified bound for which escaped(perturbed point) holds.
-    Perturbation inner draws from the stream derive_seed(seed, draw, salt,
-    inner): the salted seed is mixed once per draw and extended by one mix
-    per perturbation."""
-    salted = derive_seed(config.seed, draw, salt)
-    for inner in range(config.count_inner):
-        rng = SplitMix64(_extend_seed(salted, inner))
+    Perturbation k takes the k-th direction of the one stream
+    derive_seed(seed, draw, salt), so the first k perturbations do not
+    depend on count_inner."""
+    rng = SplitMix64(derive_seed(config.seed, draw, salt))
+    for _ in range(config.count_inner):
         y = perturb_within(x, cert.bound, rng, config)
         if escaped(y):
             report.violations.append(_violation(
@@ -355,8 +356,9 @@ def _verify_c4(schedule: Schedule, config: SampleConfig) -> ClaimReport:
 
 
 def _synthetic_source(rng: SplitMix64, config: SampleConfig):
-    """Unbounded source along a sampled direction (e_1 fallback for zero)."""
-    direction = _sample_point_with(rng, config)
+    """Unbounded source along a direction drawn by `_draw_direction`, or
+    along a drawn unit vector when that direction is zero."""
+    direction = Point._from_ints(*_draw_direction(rng, config))
     if direction.is_zero():
         direction = unit(1 + rng.below(config.max_index))
     return ray_source(direction)

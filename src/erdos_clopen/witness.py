@@ -124,7 +124,7 @@ class WitnessRecord:
             "q": format_rational(self.q),
             "case": self.case,
             "failing_n": self.failing_n,
-            "checks": [dict(check) for check in self.checks],
+            "checks": [_check_json(check) for check in self.checks],
         }
 
 
@@ -163,7 +163,8 @@ def construct_witness(v: VSpec, schedule: Schedule) -> WitnessRecord:
 
     checks = verify_witness(x, y, z, m_star, l_star, r_star, schedule)
     if any(not check["holds"] for check in checks):
-        raise AssertionError(f"witness construction produced a failing check: {checks}")
+        raise AssertionError("witness construction produced a failing check: "
+                             f"{[_check_json(check) for check in checks]}")
     # the least schedule index whose A-set excludes z (at most m*)
     failing_n = next(check["lhs"]["first_failing_n"] for check in checks
                      if check["check"] == "z_outside_O")
@@ -178,8 +179,21 @@ def construct_witness(v: VSpec, schedule: Schedule) -> WitnessRecord:
 
 def _check(name: str, lhs, rhs, relation: str, holds: bool) -> dict:
     """One entry of `verify_witness`: the inequality's name, the exact
-    quantities compared, the relation between them and whether it holds."""
+    quantities compared (a `Fraction`, a `Point`, or a dict of ints, bools
+    and None), the relation between them and whether it holds."""
     return {"check": name, "lhs": lhs, "rhs": rhs, "relation": relation, "holds": holds}
+
+
+def _json_value(value):
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    return value.to_json() if isinstance(value, Point) else value
+
+
+def _check_json(check: dict) -> dict:
+    """A check as written in JSON: a `Fraction` as "p/q", a `Point` as
+    `Point.to_json`; built only when a document or a message is written."""
+    return {key: _json_value(value) for key, value in check.items()}
 
 
 def verify_witness(x: Point, y: Point, z: Point, m_star: int, l_star: int,
@@ -188,7 +202,8 @@ def verify_witness(x: Point, y: Point, z: Point, m_star: int, l_star: int,
 
     `construct_witness` runs this on every witness it builds; the result is
     the record's `checks`. Each entry names the inequality and carries the
-    exact quantities compared, so a failure is reproducible in isolation.
+    exact quantities compared, as values (`_check_json` writes them), so a
+    failure is reproducible in isolation.
     """
     pair = schedule.pair_at(m_star)
     m_x = m_index(x, pair.alpha)
@@ -197,19 +212,18 @@ def verify_witness(x: Point, y: Point, z: Point, m_star: int, l_star: int,
     z_in_A_star = in_A(z, pair)
     failing = first_failing_n(z, schedule)  # None exactly when z is in O
     y_sq, r_sq, x_plus_y = y.norm_sq(), r_star * r_star, add(x, y)
+    z_l_sq, beta_sq = z_l * z_l, pair.beta.base
 
     return [
         # |y|^2 = q^2 < r*^2
-        _check("y_in_ball", format_rational(y_sq), format_rational(r_sq), "<",
-               y_sq < r_sq),
-        _check("z_is_x_plus_y", x_plus_y.to_json(), z.to_json(), "==", x_plus_y == z),
+        _check("y_in_ball", y_sq, r_sq, "<", y_sq < r_sq),
+        _check("z_is_x_plus_y", x_plus_y, z, "==", x_plus_y == z),
         # m_z <= m_x < l*
         _check("m_chain", {"m_z": m_z, "m_x": m_x}, {"l_star": l_star},
                "m_z <= m_x < l_star",
                m_z is not None and m_x is not None and m_z <= m_x < l_star),
         # |z_l*|^2 > beta_m*^2
-        _check("coordinate_violation", format_rational(z_l * z_l),
-               format_rational(pair.beta.base), ">", z_l * z_l > pair.beta.base),
+        _check("coordinate_violation", z_l_sq, beta_sq, ">", z_l_sq > beta_sq),
         _check("z_outside_A_at_m_star", {"in_A": z_in_A_star}, {"expected": False},
                "==", not z_in_A_star),
         _check("z_outside_O", {"first_failing_n": failing}, {"failing_n_at_most": m_star},
@@ -234,13 +248,13 @@ class RefutationVerdict:
     witness: WitnessRecord
 
     def to_json(self) -> dict:
-        checks = self.witness.checks
+        witness = self.witness.to_json()
         return {
             "premise": _PREMISE,
-            "witness": self.witness.to_json(),
-            "rechecks": [dict(check) for check in checks],
+            "witness": witness,
+            "rechecks": witness["checks"],
             "conclusion": _CONCLUSION,
-            "holds": all(check["holds"] for check in checks),
+            "holds": all(check["holds"] for check in self.witness.checks),
         }
 
 

@@ -491,6 +491,21 @@ class TestEnclosureWorkPerCertificate:
         assert counts == {"closed": 130, "open": 109, "o-open": 282}
 
 
+@pytest.mark.parametrize("value, expected", [
+    (F(2, 9), [2, 2]),  # not a square: is_rational_power, then RootValue
+    (F(8, 3), [8, 8]),
+    (F(4, 9), [4, 9]),  # a square: is_rational_power's two roots only
+])
+def test_sqrt_expr_root_counts(roots, value, expected):
+    """The roots `sqrt_expr` takes: a square is decided by
+    `is_rational_power` alone, a non-square's numerator root is taken
+    again by `RootValue`."""
+    result = clopen.sqrt_expr(value)
+    assert roots == expected
+    assert result == (RootExpr.coerce(F(2, 3)) if value == F(4, 9)
+                      else RootExpr.coerce(RootValue(value, 2)))
+
+
 class TestPinnedCertificateBounds:
     def test_bounds_on_sampled_points(self):
         """sha256 of the certified bounds of 300 seed-42 points, recorded

@@ -167,6 +167,27 @@ def near_squares():
     return st.builds(lambda pq: F(pq[0], pq[1]), pairs.filter(lambda pq: min(pq) > 0))
 
 
+@pytest.mark.parametrize("call", [
+    lambda: RootExpr([(0.1, None)]),
+    lambda: RootExpr([(F(1), RootValue(2, 2)), (0.5, RootValue(3, 2))]),
+    lambda: RootExpr.coerce(0.1),
+    lambda: RootExpr.coerce(RootValue(2, 2)) - 0.5,
+    lambda: rational_in_interval(0.1, 0.3),
+    lambda: rational_in_interval(RootValue(2, 2), 2.0),
+    lambda: cmp_rational_vs_root(0.1, RootValue(2, 2)),
+    lambda: cmp_root_expr(1.5, RootValue(2, 2)),
+    lambda: expr_min(F(1), 0.5),
+    lambda: largest_rational_at_most(0.1, 10),
+], ids=["expr", "expr-root-term", "coerce", "minus", "interval-lo", "interval-hi",
+        "cmp-rational", "cmp-expr", "min", "largest"])
+def test_exact_layer_refuses_binary_floats(call):
+    """Every exact-layer entry point reads a coefficient through
+    `exact_fraction`, so a float such as 0.1 is refused, not stored as
+    3602879701896397/36028797018963968."""
+    with pytest.raises(exact.InputError, match="binary float .* is inexact"):
+        call()
+
+
 class TestRootValueRejectsSquares:
     """RootValue rejects a positive base exactly when is_rational_power(base,
     2) finds its rational square root, for degree 2 and 4 alike."""
@@ -702,6 +723,13 @@ class TestLargestRationalAtMost:
         assert got == F(1, 708)  # 707 < 1000/sqrt(2) < 708
         assert cmp_root_expr(rat(got), value) == Ordering.LESS
         assert cmp_root_expr(rat(F(1, 707)), value) == Ordering.GREATER
+
+    @pytest.mark.parametrize("den_cap", [10.0 ** 6, "100", True, F(100)])
+    def test_cap_that_is_not_an_int_is_refused(self, den_cap):
+        """A float, string or Fraction cap has no `bit_length`, and True
+        would be read as the cap 1."""
+        with pytest.raises(exact.InputError, match="den_cap must be an integer"):
+            largest_rational_at_most(F(1, 3), den_cap)
 
     def test_rejects_nonpositive_values(self):
         with pytest.raises(ValueError):

@@ -248,7 +248,9 @@ class TestPackedChoices:
             self, monkeypatch):
         """Over the seed-42 C2 to C4 perturbations, one `below` for the size
         and one for the rest of a non-empty direction; `below`'s rejection
-        step redraws 17 of those words, counted once and pinned."""
+        step redraws 16 of those words, pinned, and recounted when a draw's
+        perturbations came to share one stream (17 when each had its own);
+        the wrapper hands the stream's state back."""
         counts = {"perturbations": 0, "nonempty": 0, "belows": 0, "words": 0}
         original = harness.perturb_within
 
@@ -263,6 +265,7 @@ class TestPackedChoices:
             counting = Counted(0)
             counting._state = rng._state
             y = original(base, bound, counting, config)
+            rng._state = counting._state
             counts["perturbations"] += 1
             counts["nonempty"] += y is not base
             counts["words"] += counting.words
@@ -277,7 +280,7 @@ class TestPackedChoices:
         assert counts["perturbations"] == 2 * 100 * 16
         drawn = counts["perturbations"] + counts["nonempty"]
         assert counts["belows"] == drawn
-        assert counts["words"] == drawn + 17
+        assert counts["words"] == drawn + 16
 
 
 class TestSamplerMatchesPool:
@@ -516,12 +519,103 @@ def test_c4_decides_membership_once_per_draw(monkeypatch):
     assert len(calls) == config.count + 1
 
 
+def recorded_perturbations(monkeypatch, claim, params, config):
+    """The perturbed points `verify_claim` builds, in order, split into one
+    list per eligible draw, with the draw's base point first."""
+    made = []
+    original = harness.perturb_within
+
+    def recording(base, *args):
+        y = original(base, *args)
+        made.append((base, y))
+        return y
+
+    monkeypatch.setattr(harness, "perturb_within", recording)
+    assert verify_claim(claim, params, config).passed
+    inner = config.count_inner
+    return [[made[k][0]] + [y for _, y in made[k:k + inner]]
+            for k in range(0, len(made), inner)]
+
+
+class TestOneStreamPerDraw:
+    """Perturbation k of draw d in a claim with salt s takes the k-th
+    direction of the one stream derive_seed(seed, d, s)."""
+
+    def test_perturbations_follow_a_reference_loop(self, monkeypatch):
+        config = SampleConfig(seed=42, count=60, count_inner=5)
+        expected = []
+        for draw in range(config.count):
+            x = sample_point(config, draw)
+            if in_A(x, DEFAULT_PAIR):
+                bound = openness_radius(x, DEFAULT_PAIR).bound
+                rng = SplitMix64(derive_seed(config.seed, draw, 3))
+                expected.append([x] + [composed_perturb(x, bound, rng, config)
+                                       for _ in range(config.count_inner)])
+        assert recorded_perturbations(monkeypatch, "C3", DEFAULT_PAIR, config) == expected
+        assert len(expected) == 26
+
+    @pytest.mark.parametrize("claim, params", [("C2", DEFAULT_PAIR),
+                                               ("C4", DEFAULT_SCHEDULE)])
+    def test_first_perturbations_do_not_depend_on_the_count(self, monkeypatch, claim,
+                                                            params):
+        few = recorded_perturbations(
+            monkeypatch, claim, params, SampleConfig(seed=7, count=40, count_inner=3))
+        many = recorded_perturbations(
+            monkeypatch, claim, params, SampleConfig(seed=7, count=40, count_inner=16))
+        assert len(few) == len(many) > 0
+        assert [draw[:4] for draw in many] == few
+
+    def test_a_draw_mixes_one_seed(self, monkeypatch):
+        """A C3 draw builds three generators for its base point (two mixes
+        and its stream) and an eligible one four for its perturbations
+        (three mixes and its stream), whatever the count of perturbations."""
+        built = []
+
+        class Counted(SplitMix64):
+            __slots__ = ()
+
+            def __init__(self, seed):
+                built.append(seed)
+                super().__init__(seed)
+
+        monkeypatch.setattr(harness, "SplitMix64", Counted)
+        for inner in (0, 1, 16):
+            built.clear()
+            report = verify_claim("C3", DEFAULT_PAIR,
+                                  SampleConfig(seed=42, count=50, count_inner=inner))
+            assert len(built) == 3 * report.samples_run + 4 * report.eligible
+            assert report.eligible == 22
+
+
+class TestWitnessRays:
+    def test_ray_direction_is_a_packed_direction(self, monkeypatch):
+        """A C5 or Remark ray points along `pool_packed_direction`'s draw
+        from the stream after the radius, or along a drawn unit vector when
+        that draw is zero; the stream is left where the reference leaves it."""
+        monkeypatch.setattr(harness, "ray_source", lambda direction: direction)
+        config = SampleConfig(seed=42, count=300)
+        zero = 0
+        for draw in range(config.count):
+            seed = derive_seed(config.seed, draw, 5)
+            ours, theirs = SplitMix64(seed), SplitMix64(seed)
+            for rng in (ours, theirs):
+                rng.below(config.max_numerator), rng.below(config.max_denominator)
+            expected = pool_packed_direction(theirs, config)
+            if expected.is_zero():
+                zero += 1
+                expected = Point({1 + theirs.below(config.max_index): 1})
+            assert harness._synthetic_source(ours, config) == expected
+            assert ours.next_u64() == theirs.next_u64()
+        assert 0 < zero < config.count
+
+
 class TestPinnedViolationRecords:
     def test_flipped_perturbations_give_pinned_records(self, monkeypatch):
         """Flip the membership of every perturbed point, and only of those,
         so each C2-C4 perturbation is recorded as a violation; sha256 of the
         three reports, recorded once and pinned, and recorded again when
-        perturbation directions were packed into shared words."""
+        perturbation directions were packed into shared words and when a
+        draw's perturbations came to share one stream."""
         from erdos_clopen import harness
 
         perturbed = {}  # id -> point; holding the points keeps their ids unused
@@ -548,7 +642,7 @@ class TestPinnedViolationRecords:
         assert [len(r.violations) for r in reports] == [132, 108, 240]
         text = "\n".join(json.dumps(r.to_json(), sort_keys=True) for r in reports)
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "73a5ef92c9cd5bca3cc3ff79b8835f584edf20dadcae5e17b808779daa1d1605")
+            "08ac1204cb3778bde80ca185779e2d47cedf8855815e6fbe6ffb2b68ff12bea8")
 
 
 class TestConstructionFailedRecords:
@@ -612,7 +706,10 @@ class TestConstructionFailedRecords:
 
     def test_failing_witness_check_gives_pinned_records(self, monkeypatch):
         """Every witness with an odd m* reports its z_outside_O check as
-        failed, so `construct_witness` raises AssertionError."""
+        failed, so `construct_witness` raises AssertionError. m* depends on
+        the radius alone, so the failing draws stay put; the records were
+        recorded again when the rays' directions were packed into shared
+        words, since the message carries the witness's points."""
         from erdos_clopen import witness
 
         original = witness.verify_witness
@@ -630,7 +727,7 @@ class TestConstructionFailedRecords:
             reports, "construction failed: AssertionError(\"witness construction "
                      "produced a failing check: [{'check': 'y_in_ball'")
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "9b2a7450206f9759c9c9aeee59aae5543ee079e1189b7e9460df2d8514e836b8")
+            "fcdfcbb74d8709b2f9be3010939a6be74f6025d764f53da53ad80ff11cd9ba01")
 
 
 class TestRunSuite:

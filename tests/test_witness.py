@@ -336,7 +336,9 @@ class TestVerdict:
         data = RefutationVerdict(flipped).to_json()
         assert [field.name for field in dataclasses.fields(RefutationVerdict)] == ["witness"]
         assert data["holds"] is False
-        assert data["rechecks"] == [dict(check) for check in flipped.checks]
+        assert [check["holds"] for check in data["rechecks"]] == [
+            True, True, False, True, True, True]
+        assert data["rechecks"][2]["check"] == checks[2]["check"]
 
     def test_verdict_withheld_for_bounded_source(self):
         bounded = file_source([pt([(1, 1)])])
@@ -350,8 +352,33 @@ class TestVerifyWitnessChecks:
         checks = verify_witness(record.x, record.y, record.z, record.m_star,
                                 record.l_star, F(1), DEFAULT_SCHEDULE)
         by_name = {c["check"]: c for c in checks}
-        assert by_name["y_in_ball"]["lhs"] == "1/4"
+        assert by_name["y_in_ball"]["lhs"] == F(1, 4)
         assert by_name["coordinate_violation"]["holds"]
+
+    def test_checks_hold_values_until_written(self):
+        """The checks keep the exact quantities; JSON writes them as "p/q"
+        and `Point.to_json`."""
+        record = construct_witness(VSpec(F(1), ray_source()), DEFAULT_SCHEDULE)
+        by_name = {c["check"]: c for c in record.checks}
+        for name, kind in (("y_in_ball", F), ("z_is_x_plus_y", Point),
+                           ("coordinate_violation", F)):
+            assert type(by_name[name]["lhs"]) is kind and type(by_name[name]["rhs"]) is kind
+        assert by_name["z_is_x_plus_y"]["rhs"] == record.z
+        written = {c["check"]: c for c in record.to_json()["checks"]}
+        assert written["y_in_ball"]["lhs"] == "1/4"
+        assert written["z_is_x_plus_y"]["rhs"] == record.z.to_json()
+        assert written["m_chain"] == by_name["m_chain"]
+
+    def test_construction_writes_no_point(self, monkeypatch):
+        """Building a witness and running its checks turns no point into
+        JSON; writing the record does, once per point it shows."""
+        calls = []
+        to_json = Point.to_json
+        monkeypatch.setattr(Point, "to_json", lambda p: calls.append(p) or to_json(p))
+        record = construct_witness(VSpec(F(1, 7), ray_source(unit(3))), DEFAULT_SCHEDULE)
+        assert calls == []
+        record.to_json()
+        assert calls == [record.x, record.y, record.z, add(record.x, record.y), record.z]
 
     def test_tampered_witness_is_flagged(self):
         record = construct_witness(VSpec(F(1), ray_source()), DEFAULT_SCHEDULE)
